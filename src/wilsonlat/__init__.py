@@ -14,15 +14,15 @@ from .metaplectic import (ContinuousFactorization, ParameterSearchError,
 from .ring import (CanonicalDiscrete, CanonicalFinite, CanonicalReal,
                    GeneratorMatrix, LatticeError, Rational, canonical_discrete,
                    canonical_finite, ext_gcd, hnf_real, lattice_points_finite)
-from .signal import (DiscreteWindow, OperatorError, dft, herm_inv_sqrt, idft,
-                     inner, jacobi_eigh, norm, tf_shift, unitary_dft)
+from .signal import (DiscreteWindow, OperatorError, centered_dft, dft, herm_inv_sqrt,
+                     idft, inner, norm, real_spectrum, tf_shift, unitary_dft)
 from .wilson import (EquivalenceReport, PhiParams, WilsonSequenceFamily,
                      WilsonSystem, equivalence_report, gram, gram_deviation,
                      gram_discrete, periodized_gram, phi_inverse, phi_map,
                      phi_params_discrete, phi_params_finite, wilson_continuous_demo,
                      wilson_discrete, wilson_finite, wilson_index_set)
-from .zak import (ZakTable, cond_correlation, cond_correlation_discrete,
-                  cond_quadrature, correlation_sums_discrete, zak_finite)
+from .zak import (FrameSymbol, ZakTable, cond_correlation, cond_correlation_discrete,
+                  cond_quadrature, correlation_sums_discrete, frame_symbol, zak_finite)
 
 __version__ = "0.1.0"
 

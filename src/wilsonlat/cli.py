@@ -3,15 +3,16 @@
 Subcommands: canonicalize, gabor, zak, sigma, wilson, demo-hex, selftest.
 Reports are JSON on stdout with sorted keys, so identical inputs (and
 --seed) produce byte-identical output; wall time goes to stderr.  Exit
-codes: 0 success / verdict true, 1 verdict false, 2 usage error,
-3 numerical failure.  The environment variable WILSON_TOL overrides the
-default tolerance 1e-9.
+codes: 0 success / verdict true, 1 verdict false, 2 usage error (bad
+flags, unreadable or unwritable files, a bad WILSON_TOL), 3 numerical
+failure.  WILSON_TOL (finite, positive) overrides the default tolerance 1e-9.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import gabor, metaplectic, ring, wilson, zak
 from .rng import SplitMix64
-from .signal import read_window_csv, write_window_csv
+from .signal import DEFAULT_TOL, read_window_csv, write_window_csv
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -29,11 +30,19 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def default_tol() -> float:
+def parse_tol(text: str, source: str = "--tol") -> float:
+    """A finite positive tolerance; anything else is a usage error (exit 2)."""
     try:
-        return float(os.environ.get("WILSON_TOL", "1e-9"))
+        tol = float(text)
     except ValueError:
-        return 1e-9
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise SystemExit(f"{source} must be a finite positive number, got {text!r}")
+    return tol
+
+
+def default_tol() -> float:
+    return parse_tol(os.environ.get("WILSON_TOL", str(DEFAULT_TOL)), "WILSON_TOL")
 
 
 def parse_lattice(text: str) -> ring.CanonicalFinite:
@@ -102,8 +111,6 @@ def cmd_sigma(args, t0: float) -> int:
 
 
 def cmd_wilson_build(args, t0: float) -> int:
-    if args.setting != "finite":
-        raise SystemExit("only --setting finite is supported by the CLI")
     lat = parse_lattice(args.lattice)
     g = read_window_csv(args.window)
     sys_ = wilson.wilson_finite(g, lat)
@@ -129,11 +136,9 @@ def cmd_wilson_verify(args, t0: float) -> int:
 
 def cmd_demo_hex(args, t0: float) -> int:
     rep = wilson.wilson_continuous_demo(args.nu, args.L)
+    out = {**rep.to_json(), "command": "demo-hex"}
     if args.out:
         write_window_csv(args.out, rep.window)
-    out = rep.to_json()
-    out["command"] = "demo-hex"
-    if args.out:
         out["out"] = args.out
     emit(out, t0)
     return EXIT_OK
@@ -237,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     zc = zsub.add_parser("check")
     zc.add_argument("--lattice", required=True, help="L,p,0")
     zc.add_argument("--window", required=True)
-    zc.add_argument("--tol", type=float, default=tol)
+    zc.add_argument("--tol", type=parse_tol, default=tol)
     zc.set_defaults(func=cmd_zak)
 
     s = sub.add_parser("sigma", help="symplectic reindexing parameters")
@@ -247,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("wilson", help="Wilson basis operations")
     wsub = w.add_subparsers(dest="subcommand", required=True)
     wb = wsub.add_parser("build")
-    wb.add_argument("--setting", default="finite")
     wb.add_argument("--lattice", required=True)
     wb.add_argument("--window", required=True)
     wb.add_argument("--out", required=True)
@@ -255,14 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     wv = wsub.add_parser("verify")
     wv.add_argument("--lattice", required=True)
     wv.add_argument("--window", required=True)
-    wv.add_argument("--gram", action="store_true", help="report the Gram deviation")
-    wv.add_argument("--tol", type=float, default=tol)
+    wv.add_argument("--tol", type=parse_tol, default=tol)
     wv.set_defaults(func=cmd_wilson_verify)
-    wd = wsub.add_parser("demo-hex")
-    wd.add_argument("--nu", type=float, default=1.0)
-    wd.add_argument("--L", type=int, default=256)
-    wd.add_argument("--out", default=None)
-    wd.set_defaults(func=cmd_demo_hex)
 
     dh = sub.add_parser("demo-hex", help="hexagonal-lattice demonstration")
     dh.add_argument("--nu", type=float, default=1.0)
@@ -272,26 +270,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("selftest", help="deterministic invariant sweep")
     st.add_argument("--seed", type=int, default=0)
-    st.add_argument("--tol", type=float, default=tol)
+    st.add_argument("--tol", type=parse_tol, default=tol)
     st.set_defaults(func=cmd_selftest)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
     t0 = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, t0)
     except SystemExit as exc:
-        if isinstance(exc.code, str) or exc.code not in (0, None):
-            if isinstance(exc.code, str):
-                print(exc.code, file=sys.stderr)
-            return EXIT_USAGE
-        return EXIT_OK
+        if isinstance(exc.code, str):
+            print(exc.code, file=sys.stderr)
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ring.LatticeError, gabor.FrameError, metaplectic.ParameterSearchError,
             ValueError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

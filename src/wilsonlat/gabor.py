@@ -18,13 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ring import CanonicalFinite
-from .signal import OperatorError, as_window, dft, herm_inv_sqrt
-
-DEFAULT_TOL = 1e-9
-
-
-class FrameError(ValueError):
-    """The window does not generate a usable frame."""
+from .signal import COND_FLOOR, DEFAULT_TOL, FrameError, as_window, unitary_dft
+from .zak import frame_symbol
 
 
 @dataclass(frozen=True)
@@ -80,20 +75,20 @@ def tighten(g, lat: CanonicalFinite, fourier_twist: bool = False) -> np.ndarray:
     """Canonical tight window sqrt(2) S^{-1/2} g for the lattice.
 
     The output generates a tight frame with bound exactly 2 over the same
-    lattice.  With ``fourier_twist`` the unitary DFT is applied afterwards
-    (makes the spectrum of a real even window real; note the twist moves
-    tightness to the transposed lattice unless p = L/(2p)).
+    lattice.  One path serves every (L, p, b): the frame symbol d and the
+    chirped table W_0 of g give the spectrum of S^{-1/2} g blockwise as
+    c ifft_j(W_0 / sqrt(d)) (see :mod:`wilsonlat.zak`).  With
+    ``fourier_twist`` the unitary DFT is applied afterwards (makes the
+    spectrum of a real even window real; note the twist moves tightness
+    to the transposed lattice unless p = L/(2p)).
     """
-    g = as_window(g)
-    S = frame_operator(gabor_system(g, lat))
-    try:
-        R = herm_inv_sqrt(S)
-    except OperatorError as exc:
-        raise FrameError("window does not generate a frame") from exc
-    gt = np.sqrt(2.0) * (R @ g)
-    if fourier_twist:
-        gt = np.sqrt(len(gt)) * dft(gt)
-    return gt
+    sym = frame_symbol(g, lat)
+    d = sym.values
+    if not d.min() > COND_FLOOR * d.max():  # also rejects NaN
+        raise FrameError("window does not generate a frame")
+    blocks = np.fft.ifft(sym.window_zak / np.sqrt(d), axis=0) * sym.chirp
+    gt = np.sqrt(2.0) * np.fft.ifft(blocks.ravel())
+    return unitary_dft(gt) if fourier_twist else gt
 
 
 def symmetrize(g) -> np.ndarray:

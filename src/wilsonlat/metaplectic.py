@@ -31,7 +31,7 @@ from math import gcd
 import numpy as np
 
 from .ring import CanonicalFinite, CanonicalReal, LatticeError
-from .signal import DiscreteWindow, as_window
+from .signal import DiscreteWindow, as_window, centered_dft
 
 UNITARY_TOL = 1e-9
 
@@ -298,22 +298,10 @@ def continuous_factor(lat: CanonicalReal | tuple) -> ContinuousFactorization:
     return fact
 
 
-def _centered_dft(f: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Unitary DFT on the symmetric grid: indices j, k measured from L/2."""
-    L = len(f)
-    k = np.arange(L)
-    sign = 1.0 if inverse else -1.0
-    # (j - L/2)(k - L/2) = jk - (L/2)(j + k) + L^2/4
-    pre = np.exp(sign * -1j * np.pi * k) * f
-    out = np.fft.ifft(pre) * L if inverse else np.fft.fft(pre)
-    out *= np.exp(sign * -1j * np.pi * k) * np.exp(sign * 1j * np.pi * L / 2)
-    return out / np.sqrt(L)
-
-
 def _trig_resample(f: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Evaluate the centered trigonometric interpolant at real grid positions."""
     L = len(f)
-    F = _centered_dft(f)
+    F = centered_dft(f)
     j = np.arange(L) - L / 2
     ker = np.exp(2j * np.pi * np.outer(positions - L / 2, j) / L)
     return ker @ F / np.sqrt(L)
@@ -347,11 +335,11 @@ def apply_continuous_U(f, lat, inverse: bool = False) -> np.ndarray:
     t = (np.arange(L) - L / 2) / root
     chirp = np.exp(1j * np.pi * (b / d) * t * t)
     if not inverse:
-        out = _centered_dft(f, inverse=True)
+        out = centered_dft(f, inverse=True)
         out = out * chirp
-        out = _centered_dft(out)
+        out = centered_dft(out)
         return _dilate(out, d)
     out = _dilate(f, 1.0 / d)
-    out = _centered_dft(out, inverse=True)
+    out = centered_dft(out, inverse=True)
     out = out * np.conj(chirp)
-    return _centered_dft(out)
+    return centered_dft(out)

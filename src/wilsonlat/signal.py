@@ -17,12 +17,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+DEFAULT_TOL = 1e-9
 HERMITIAN_TOL = 1e-12
 COND_FLOOR = 1e-10
+REAL_SPECTRUM_TOL = 1e-10
 
 
 class OperatorError(ValueError):
     """Operator input violates a precondition (not Hermitian, singular...)."""
+
+
+class FrameError(ValueError):
+    """The window does not generate a usable frame."""
 
 
 def as_window(values) -> np.ndarray:
@@ -48,6 +54,26 @@ def unitary_dft(f) -> np.ndarray:
     return np.sqrt(len(f)) * dft(f)
 
 
+def centered_dft(f: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Unitary DFT on the symmetric grid: indices j, k measured from L/2."""
+    L = len(f)
+    k = np.arange(L)
+    sign = 1.0 if inverse else -1.0
+    # (j - L/2)(k - L/2) = jk - (L/2)(j + k) + L^2/4
+    pre = np.exp(sign * -1j * np.pi * k) * f
+    out = np.fft.ifft(pre) * L if inverse else np.fft.fft(pre)
+    out *= np.exp(sign * -1j * np.pi * k) * np.exp(sign * 1j * np.pi * L / 2)
+    return out / np.sqrt(L)
+
+
+def real_spectrum(g, tol: float = REAL_SPECTRUM_TOL) -> np.ndarray:
+    """dft(g), rejected unless its imaginary part is below tol of its peak."""
+    ghat = dft(g)
+    if np.max(np.abs(ghat.imag)) > tol * max(1.0, float(np.max(np.abs(ghat)))):
+        raise ValueError("window spectrum must be real-valued")
+    return ghat
+
+
 def tf_shift(g, x: int, y: int) -> np.ndarray:
     """Time-frequency shift: result(l) = g(l - x) e^{2 pi i l y / L}."""
     g = as_window(g)
@@ -71,66 +97,18 @@ def is_hermitian(M: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return bool(np.max(np.abs(M - M.conj().T)) <= tol * max(1.0, np.max(np.abs(M))))
 
 
-def jacobi_eigh(M: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Sweeps unitary 2x2 rotations over the strict upper triangle until the
-    off-diagonal Frobenius norm drops below tol * ||M||_F.  Returns
-    (eigenvalues, eigenvectors) like ``np.linalg.eigh``; self-contained
-    alternative used to cross-check the LAPACK path at desk scale.
-    """
-    A = np.array(M, dtype=complex)
-    n = A.shape[0]
-    V = np.eye(n, dtype=complex)
-    scale = max(np.linalg.norm(A), 1e-300)
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(A - np.diag(np.diag(A)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= tol * scale / n:
-                    continue
-                app = A[p, p].real
-                aqq = A[q, q].real
-                # unitary rotation diagonalizing [[app, apq], [conj(apq), aqq]]
-                phase = apq / abs(apq)
-                theta = 0.5 * np.arctan2(2.0 * abs(apq), app - aqq)
-                c = np.cos(theta)
-                s = np.sin(theta) * phase
-                rot_p = c * A[:, p] + np.conj(s) * A[:, q]
-                rot_q = -s * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = rot_p, rot_q
-                rot_p = c * A[p, :] + s * A[q, :]
-                rot_q = -np.conj(s) * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = rot_p, rot_q
-                rot_p = c * V[:, p] + np.conj(s) * V[:, q]
-                rot_q = -s * V[:, p] + c * V[:, q]
-                V[:, p], V[:, q] = rot_p, rot_q
-    w = np.diag(A).real
-    order = np.argsort(w)
-    return w[order], V[:, order]
-
-
-def herm_inv_sqrt(S: np.ndarray, method: str = "eigh") -> np.ndarray:
+def herm_inv_sqrt(S: np.ndarray) -> np.ndarray:
     """Inverse square root of a Hermitian positive definite matrix.
 
-    The result R is Hermitian and satisfies R S R = I.  ``method`` selects
-    the eigensolver: "eigh" (LAPACK) or "jacobi" (the cyclic solver above,
-    bit-for-bit portable but slower).
+    The result R is Hermitian and satisfies R S R = I.  Dense oracle for
+    the frame-symbol path of :func:`wilsonlat.gabor.tighten`.
     """
     S = np.asarray(S, dtype=complex)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise OperatorError("matrix must be square")
     if not is_hermitian(S):
         raise OperatorError("matrix is not Hermitian")
-    if method == "eigh":
-        w, V = np.linalg.eigh(S)
-    elif method == "jacobi":
-        w, V = jacobi_eigh(S)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    w, V = np.linalg.eigh(S)
     if w[0] <= COND_FLOOR * w[-1] or w[-1] <= 0:
         raise OperatorError("frame lower bound ≈ 0")
     R = (V * (1.0 / np.sqrt(w))) @ V.conj().T

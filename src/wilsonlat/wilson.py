@@ -30,11 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gabor import DEFAULT_TOL, FrameError, gabor_system, tighten, tightness_deviation
-from .metaplectic import (SigmaParams, _centered_dft, apply_continuous_U,
-                          metaplectic_matrix, sigma_params)
+from .gabor import FrameError, gabor_system, tighten, tightness_deviation
+from .metaplectic import SigmaParams, apply_continuous_U, metaplectic_matrix, sigma_params
 from .ring import CanonicalFinite, LatticeError, ext_gcd
-from .signal import DiscreteWindow, as_window, dft, tf_shift
+from .signal import (DEFAULT_TOL, DiscreteWindow, as_window, centered_dft,
+                     real_spectrum, tf_shift)
 
 
 @dataclass(frozen=True)
@@ -176,14 +176,10 @@ class WilsonSequenceFamily:
     """
 
     def __init__(self, g: DiscreteWindow, N: int, b: int):
-        if N <= 0 or N % 2:
-            raise LatticeError("N must be even and positive")
-        if not 0 <= b < N // 2:
-            raise LatticeError("b out of range [0, N/2)")
+        self.pp = phi_params_discrete(N, b)  # validates N and b
         self.g = g
         self.N = N
         self.b = b
-        self.pp = phi_params_discrete(N, b)
 
     def _atom(self, mm: int, nn: int) -> DiscreteWindow:
         shift = mm * (self.N // 2) + nn * self.b
@@ -261,9 +257,6 @@ class EquivalenceReport:
                 "q": self.params.q, "tol": self.tol}
 
 
-REAL_SPECTRUM_TOL = 1e-10
-
-
 def equivalence_report(g, lat: CanonicalFinite, tol: float = DEFAULT_TOL,
                        sp: SigmaParams | None = None) -> EquivalenceReport:
     """Evaluate all four equivalent basis/frame conditions for a window.
@@ -277,9 +270,10 @@ def equivalence_report(g, lat: CanonicalFinite, tol: float = DEFAULT_TOL,
         sp = sigma_params(lat)
     U = metaplectic_matrix(sp)
     h = U.conj().T @ g
-    hhat = dft(h)
-    if np.max(np.abs(hhat.imag)) > REAL_SPECTRUM_TOL * max(1.0, float(np.max(np.abs(hhat)))):
-        raise FrameError("transported window spectrum is not real-valued")
+    try:
+        real_spectrum(h)
+    except ValueError as exc:
+        raise FrameError(f"transported {exc}") from exc
     rect = CanonicalFinite(lat.L, sp.q, 0)
     dev_i = tightness_deviation(gabor_system(g, lat), 2.0)
     dev_ii = tightness_deviation(gabor_system(h, rect), 2.0)
@@ -325,9 +319,9 @@ def _grid(L: int) -> tuple[int, np.ndarray]:
 
 def _frac_shift(f: np.ndarray, x_grid: float) -> np.ndarray:
     L = len(f)
-    F = _centered_dft(f)
+    F = centered_dft(f)
     j = np.arange(L) - L / 2
-    return _centered_dft(F * np.exp(-2j * np.pi * j * x_grid / L), inverse=True)
+    return centered_dft(F * np.exp(-2j * np.pi * j * x_grid / L), inverse=True)
 
 
 def continuous_wilson_gram(g: np.ndarray, a: float, b: float, d: float,
@@ -386,7 +380,7 @@ def wilson_continuous_demo(nu: float, L: int, m_max: int = 2, n_max: int = 2,
     mass = np.sum(np.abs(g) ** 2)
     mean_t = np.sum(t * np.abs(g) ** 2) / mass
     time_spread = float(np.sqrt(np.sum((t - mean_t) ** 2 * np.abs(g) ** 2) / mass))
-    G = _centered_dft(g)
+    G = centered_dft(g)
     f = (np.arange(L) - L / 2) / root
     massf = np.sum(np.abs(G) ** 2)
     mean_f = np.sum(f * np.abs(G) ** 2) / massf

@@ -1,14 +1,25 @@
-"""Zak transforms and pointwise tightness criteria.
+"""Zak transforms, the frame symbol and pointwise tightness criteria.
 
-For a rectangular lattice (L, p, 0) the frame operator of the 2L-element
-Gabor family diagonalizes under the Zak transform taken along the coarse
-time lattice {2pk}.  Tightness with bound 2 is then equivalent to either
-of two pointwise conditions on the window spectrum ghat = dft(g) (both
+For a canonical lattice (L, p, b) the frame operator S of the Gabor family
+is block-diagonal over frequency residues r mod 2p, and a chirp turns each
+block into a circulant (Zibulski-Zeevi for b = 0, the sheared case as in
+Wiesmeyr-Holighaus-Sondergaard).  With q = L/(2p), G = fft(g),
+V_e[j, r] = G(r - e p + 2pj) for e = 0, 1, c(j) = e^{-2 pi i b j^2/q} and
+W_e = fft_j(V_e conj(c)), the L eigenvalues of S are the (q, 2p) table
+
+    d = (2p / L^2) (|W_0|^2 + |roll_j(W_1, -b)|^2),
+
+and S^{-1/2} g has spectrum c ifft_j(W_0 / sqrt(d)) on block r.  For b = 0,
+W_0 is the Zak transform of G along the coarse time lattice {2pk} (y
+reflected), and tightness with bound 2 (d = 2) is equivalent to either of
+two pointwise conditions on the window spectrum ghat = dft(g) (both
 require ghat real-valued):
 
-* quadrature:   |Z ghat(x, y)|^2 + |Z ghat(x+p, y)|^2 = 1/p everywhere;
+* quadrature:   |Z ghat(x, y)|^2 + |Z ghat(x+p, y)|^2 = 1/p everywhere
+                (the table d / (2p));
 * correlation:  sum_l ghat(y + l p) ghat(y + l p + 2 j p) = (1/p) delta_{j,0}
-                for j = 0..L/(2p)-1 and all y.
+                for j = 0..L/(2p)-1 and all y (the inverse DFT of d / (2p)
+                along j).
 
 The sequence-domain analogue checks the correlation condition for the
 Fourier series of a finitely supported sequence on a sample grid; both
@@ -21,10 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal import DiscreteWindow, as_window, dft
-
-DEFAULT_TOL = 1e-9
-REAL_SPECTRUM_TOL = 1e-10
+from .ring import CanonicalFinite
+from .signal import DEFAULT_TOL, DiscreteWindow, FrameError, as_window, real_spectrum
 
 
 @dataclass(frozen=True)
@@ -35,13 +44,6 @@ class ZakTable:
     p: int
     L: int
 
-    def at(self, x: int, y: int) -> complex:
-        """Quasiperiodic extension: Z(x + 2p, y) = e^{-2 pi i 2p y / L} Z(x, y)."""
-        q = self.L // (2 * self.p)
-        k, x0 = divmod(x, 2 * self.p)
-        phase = np.exp(-2j * np.pi * ((2 * self.p * k * (y % q)) % self.L) / self.L)
-        return complex(phase * self.values[x0, y % q])
-
 
 def zak_finite(f, p: int) -> ZakTable:
     """Zf(x, y) = sum_k f(x + 2pk) e^{2 pi i (2pk/L) y} on the fundamental grid."""
@@ -50,45 +52,55 @@ def zak_finite(f, p: int) -> ZakTable:
     if 2 * p <= 0 or L % (2 * p):
         raise ValueError("2p must divide L")
     q = L // (2 * p)
-    # fold: rows x = 0..2p-1, columns k = 0..q-1
-    folded = f.reshape(q, 2 * p).T
-    y = np.arange(q)
-    k = np.arange(q)
-    kernel = np.exp(2j * np.pi * np.outer(k, y) * (2 * p) / L)
-    return ZakTable(folded @ kernel, p, L)
+    # rows k of the fold are the blocks f(2pk .. 2pk + 2p - 1)
+    return ZakTable(q * np.fft.ifft(f.reshape(q, 2 * p), axis=0).T, p, L)
 
 
-def _real_spectrum(g, tol: float = REAL_SPECTRUM_TOL) -> np.ndarray:
-    ghat = dft(g)
-    if np.max(np.abs(ghat.imag)) > tol * max(1.0, float(np.max(np.abs(ghat)))):
-        raise ValueError("window spectrum must be real-valued")
-    return ghat
+@dataclass(frozen=True)
+class FrameSymbol:
+    """Eigenvalues d of S on the (q, 2p) grid (j, r), with W_0 and the chirp c."""
+
+    values: np.ndarray = field(repr=False)
+    window_zak: np.ndarray = field(repr=False)
+    chirp: np.ndarray = field(repr=False)
+
+
+def frame_symbol(g, lat: CanonicalFinite) -> FrameSymbol:
+    """The L eigenvalues of the frame operator of g over lat (module docstring)."""
+    G = np.fft.fft(as_window(g))
+    L, p, b = lat.L, lat.p, lat.b
+    if len(G) != L:
+        raise FrameError(f"window length {len(G)} != lattice L {L}")
+    q = L // (2 * p)
+    j = np.arange(q)[:, None]
+    chirp = np.exp(-2j * np.pi * (b * j * j % q) / q)
+    W0 = np.fft.fft(G.reshape(q, 2 * p) * chirp.conj(), axis=0)
+    W1 = np.fft.fft(np.roll(G, p).reshape(q, 2 * p) * chirp.conj(), axis=0)
+    d = (2 * p / L**2) * (np.abs(W0) ** 2 + np.abs(np.roll(W1, -b, axis=0)) ** 2)
+    return FrameSymbol(d, W0, chirp)
+
+
+def _quadrature_table(g, p: int) -> np.ndarray:
+    g = as_window(g)
+    real_spectrum(g)
+    return frame_symbol(g, CanonicalFinite(len(g), p, 0)).values / (2 * p)
 
 
 def cond_quadrature(g, p: int, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Check |Z ghat(x,y)|^2 + |Z ghat(x+p,y)|^2 = 1/p over the full grid."""
-    ghat = _real_spectrum(g)
-    L = len(ghat)
-    Z = np.abs(zak_finite(ghat, p).values) ** 2
-    # |.|^2 kills the quasiperiodic phase, so x+p can be folded mod 2p
-    shifted = np.roll(Z, -p, axis=0)
-    dev = float(np.max(np.abs(Z + shifted - 1.0 / p)))
+    dev = float(np.max(np.abs(_quadrature_table(g, p) - 1.0 / p)))
     return dev <= tol, dev
 
 
 def cond_correlation(g, p: int, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Check sum_l ghat(y+lp) ghat(y+lp+2jp) = (1/p) delta_{j,0} for all j, y."""
-    ghat = _real_spectrum(g)
-    L = len(ghat)
-    q = L // (2 * p)
-    ys = np.arange(L)
-    dev = 0.0
-    for j in range(q):
-        total = np.zeros(L, dtype=complex)
-        for l in range(L // p):
-            total += ghat[(ys + l * p) % L] * ghat[(ys + l * p + 2 * j * p) % L]
-        target = 1.0 / p if j == 0 else 0.0
-        dev = max(dev, float(np.max(np.abs(total - target))))
+    """Check sum_l ghat(y+lp) ghat(y+lp+2jp) = (1/p) delta_{j,0} for all j, y.
+
+    The sums are p-periodic in y, and row j of the inverse DFT of the
+    quadrature table holds them for lag -j.
+    """
+    sums = np.fft.ifft(_quadrature_table(g, p), axis=0)
+    sums[0] -= 1.0 / p
+    dev = float(np.max(np.abs(sums)))
     return dev <= tol, dev
 
 
@@ -126,8 +138,6 @@ def cond_correlation_discrete(g: DiscreteWindow, N: int,
     0..N/2-1 (j and j + N/2 index the same left-hand side).
     """
     _, sums = correlation_sums_discrete(g, N, t_samples)
-    dev = 0.0
-    for j in range(N // 2):
-        target = float(N) if j == 0 else 0.0
-        dev = max(dev, float(np.max(np.abs(sums[j] - target))))
+    sums[0] -= N
+    dev = float(np.max(np.abs(sums)))
     return dev <= tol, dev

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from wilsonlat.cli import main
 from wilsonlat.rng import SplitMix64
@@ -58,7 +59,7 @@ def test_gabor_tighten_and_wilson_verify(tmp_path, capsys):
     assert code == 0
     assert json.loads(report)["tight_deviation"] < 1e-9
     code, report, _ = run(capsys, "wilson", "verify", "--lattice", "8,1,0",
-                          "--window", str(out), "--gram")
+                          "--window", str(out))
     assert code == 0
     data = json.loads(report)
     assert data["orthonormal"] and data["gram_deviation"] < 1e-9
@@ -98,9 +99,8 @@ def test_wilson_build_csv(tmp_path, capsys):
     win = tmp_path / "g.csv"
     out = tmp_path / "basis.csv"
     write_window_csv(win, np.ones(8))
-    code, report, _ = run(capsys, "wilson", "build", "--setting", "finite",
-                          "--lattice", "8,1,0", "--window", str(win),
-                          "--out", str(out))
+    code, report, _ = run(capsys, "wilson", "build", "--lattice", "8,1,0",
+                          "--window", str(win), "--out", str(out))
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "m,n,index,re,im"
@@ -121,6 +121,57 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("WILSON_TOL", "1e-3")
     from wilsonlat.cli import default_tol
     assert default_tol() == 1e-3
+
+
+@pytest.mark.parametrize("value", ["nan", "garbage", "inf", "-1e-9", "0"])
+def test_bad_tolerance_env_exit2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("WILSON_TOL", value)
+    win = tmp_path / "ones.csv"
+    write_window_csv(win, np.ones(8))
+    code, out, err = run(capsys, "zak", "check", "--lattice", "8,1,0",
+                         "--window", str(win))
+    assert code == 2
+    assert out == ""
+    assert "WILSON_TOL" in err and len(err.strip().splitlines()) == 1
+
+
+def test_missing_window_exit2(tmp_path, capsys):
+    code, out, err = run(capsys, "gabor", "tighten", "--lattice", "8,1,0",
+                         "--window", str(tmp_path / "absent.csv"),
+                         "--out", str(tmp_path / "tight.csv"))
+    assert code == 2
+    assert out == ""
+    assert "absent.csv" in err and len(err.strip().splitlines()) == 1
+
+
+def test_unreadable_window_exit2(tmp_path, capsys):
+    # a directory cannot be read as a window file
+    code, out, err = run(capsys, "wilson", "verify", "--lattice", "8,1,0",
+                         "--window", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_unwritable_out_exit2(tmp_path, capsys):
+    win = tmp_path / "ones.csv"
+    write_window_csv(win, np.ones(8))
+    code, out, err = run(capsys, "wilson", "build", "--lattice", "8,1,0",
+                         "--window", str(win),
+                         "--out", str(tmp_path / "no-such-dir" / "basis.csv"))
+    assert code == 2
+    assert out == ""
+    assert "no-such-dir" in err and len(err.strip().splitlines()) == 1
+
+
+def test_removed_cli_surface_is_a_usage_error(tmp_path, capsys):
+    win = tmp_path / "ones.csv"
+    write_window_csv(win, np.ones(8))
+    assert main(["wilson", "demo-hex", "--L", "64"]) == 2
+    assert main(["wilson", "verify", "--lattice", "8,1,0", "--window", str(win),
+                 "--gram"]) == 2
+    assert main(["wilson", "build", "--setting", "finite", "--lattice", "8,1,0",
+                 "--window", str(win), "--out", str(tmp_path / "b.csv")]) == 2
 
 
 def test_demo_hex_small(tmp_path, capsys):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wilsonlat.gabor import (FrameError, frame_operator, gabor_system, is_tight,
                              symmetrize, tighten)
 from wilsonlat.metaplectic import metaplectic_matrix, sigma_params
 from wilsonlat.ring import CanonicalFinite
 from wilsonlat.rng import SplitMix64
-from wilsonlat.signal import dft, inner, tf_shift
+from wilsonlat.signal import dft, herm_inv_sqrt, inner, tf_shift
+from wilsonlat.zak import frame_symbol
 
 
 def delta(L):
@@ -16,6 +19,18 @@ def delta(L):
 
 
 LAT810 = CanonicalFinite(8, 1, 0)
+
+
+def canonical_lattices(max_L):
+    for L in range(2, max_L + 1, 2):
+        for p in [d for d in range(1, L // 2 + 1) if (L // 2) % d == 0]:
+            for b in range(L // (2 * p)):
+                yield CanonicalFinite(L, p, b)
+
+
+def dense_tighten(g, lat):
+    """Oracle: sqrt(2) S^{-1/2} g with S assembled from all 2L atoms."""
+    return np.sqrt(2.0) * herm_inv_sqrt(frame_operator(gabor_system(g, lat))) @ g
 
 
 class TestGaborSystem:
@@ -103,8 +118,18 @@ class TestTighten:
         assert is_tight(gabor_system(gt, LAT810), 2.0, 1e-9)
 
     def test_singular_rejected(self):
+        for g in (delta(8), np.full(8, np.nan)):
+            with pytest.raises(FrameError, match="does not generate a frame"):
+                tighten(g, LAT810)
+
+    def test_singular_rejected_sheared(self):
+        # a single odd frequency: every atom over (16, 2, 1) has an odd
+        # frequency, so the even frequencies are never reached
+        lat = CanonicalFinite(16, 2, 1)
+        g = np.exp(2j * np.pi * np.arange(16) / 16)
+        assert np.linalg.eigvalsh(frame_operator(gabor_system(g, lat)))[0] < 1e-12
         with pytest.raises(FrameError, match="does not generate a frame"):
-            tighten(delta(8), LAT810)
+            tighten(g, lat)
 
     def test_idempotent(self):
         rng = SplitMix64(23)
@@ -134,6 +159,47 @@ class TestTighten:
         gt = tighten(U @ rng.real_dft_window(8), lat)
         rect = CanonicalFinite(8, sp.q, 0)
         assert is_tight(gabor_system(U.conj().T @ gt, rect), 2.0, 1e-9)
+
+
+class TestFrameSymbolOracle:
+    def test_tighten_matches_dense_on_all_small_lattices(self):
+        rng = SplitMix64(28)
+        lattices = list(canonical_lattices(48))
+        assert len(lattices) == 491
+        for lat in lattices:
+            g = rng.complex_vector(lat.L)
+            want = dense_tighten(g, lat)
+            err = np.linalg.norm(tighten(g, lat) - want) / np.linalg.norm(want)
+            assert err <= 1e-12, (lat, err)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_tighten_matches_dense_generated(self, data):
+        half = data.draw(st.integers(1, 32), label="L/2")
+        p = data.draw(st.sampled_from([d for d in range(1, half + 1) if half % d == 0]), label="p")
+        b = data.draw(st.integers(0, half // p - 1), label="b")
+        lat = CanonicalFinite(2 * half, p, b)
+        parts = st.floats(-1.0, 1.0, allow_subnormal=False)
+        re = np.array(data.draw(st.lists(parts, min_size=lat.L, max_size=lat.L), label="re"))
+        im = np.array(data.draw(st.lists(parts, min_size=lat.L, max_size=lat.L), label="im"))
+        g = re + 1j * im
+        # tighten(c g) = (c/|c|) tighten(g): rescale so that S cannot underflow
+        assume(np.max(np.abs(g)) > 0)
+        g = g / np.max(np.abs(g))
+        w = np.linalg.eigvalsh(frame_operator(gabor_system(g, lat)))
+        assume(w[0] > 1e-3 * w[-1])  # a frame, conditioned for a 1e-12 comparison
+        want = dense_tighten(g, lat)
+        assert np.linalg.norm(tighten(g, lat) - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_symbol_is_the_spectrum(self):
+        rng = SplitMix64(29)
+        for lat in canonical_lattices(24):
+            g = rng.complex_vector(lat.L)
+            d = frame_symbol(g, lat).values
+            assert d.shape == (lat.L // (2 * lat.p), 2 * lat.p)
+            w = np.linalg.eigvalsh(frame_operator(gabor_system(g, lat)))
+            # the whole spectrum, so in particular the frame bounds min d, max d
+            assert np.max(np.abs(np.sort(d.ravel()) - w)) <= 1e-12 * w[-1], lat
 
 
 def test_symmetrize_makes_spectrum_real():

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from wilsonlat.metaplectic import (ParameterSearchError, SigmaParams,
-                                   _centered_dft, apply_continuous_U,
-                                   chirp_discrete, continuous_factor,
-                                   intertwining_phase, meta_finite,
-                                   metaplectic_matrix, sigma_params)
+                                   apply_continuous_U, chirp_discrete,
+                                   continuous_factor, intertwining_phase,
+                                   meta_finite, metaplectic_matrix, sigma_params)
 from wilsonlat.ring import CanonicalFinite, CanonicalReal, LatticeError
 from wilsonlat.rng import SplitMix64
-from wilsonlat.signal import DiscreteWindow, tf_shift
+from wilsonlat.signal import DiscreteWindow, centered_dft, tf_shift
 
 F = Fraction
 
@@ -254,5 +253,5 @@ def test_centered_dft_matches_direct():
     f = rng.complex_vector(L)
     j = np.arange(L)
     W = np.exp(-2j * np.pi * np.outer(j - L / 2, j - L / 2) / L) / np.sqrt(L)
-    assert np.max(np.abs(_centered_dft(f) - W @ f)) < 1e-12
-    assert np.max(np.abs(_centered_dft(_centered_dft(f), inverse=True) - f)) < 1e-12
+    assert np.max(np.abs(centered_dft(f) - W @ f)) < 1e-12
+    assert np.max(np.abs(centered_dft(centered_dft(f), inverse=True) - f)) < 1e-12
