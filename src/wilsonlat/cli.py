@@ -3,9 +3,9 @@
 Subcommands: canonicalize, gabor, zak, sigma, wilson, demo-hex, selftest.
 Reports are JSON on stdout with sorted keys, so identical inputs (and
 --seed) produce byte-identical output; wall time goes to stderr.  Exit
-codes: 0 success / verdict true, 1 verdict false, 2 usage error (bad
-flags, unreadable or unwritable files, a bad WILSON_TOL), 3 numerical
-failure.  WILSON_TOL (finite, positive) overrides the default tolerance 1e-9.
+codes: 0 success / verdict true, 1 verdict false, 2 usage error (a bad
+flag, WILSON_TOL or file: missing, unreadable, malformed, unwritable),
+3 numerical failure.  WILSON_TOL (finite > 0) replaces the 1e-9 default.
 """
 
 from __future__ import annotations
@@ -53,16 +53,23 @@ def parse_lattice(text: str) -> ring.CanonicalFinite:
         raise SystemExit(f"bad --lattice {text!r}: {exc}") from exc
 
 
+def read_window(path: str) -> np.ndarray:
+    try:
+        return read_window_csv(path)
+    except ValueError as exc:
+        raise SystemExit(f"bad --window {path}: {exc}") from exc
+
+
 def emit(report: dict, t0: float) -> None:
     print(json.dumps(report, sort_keys=True))
     print(f"wall time: {time.perf_counter() - t0:.3f} s", file=sys.stderr)
 
 
 def cmd_canonicalize(args, t0: float) -> int:
-    entries = [Fraction(x) for x in args.matrix.split(",")]
-    if len(entries) != 4:
-        raise SystemExit("--matrix expects a,b,c,d")
-    a, b, c, d = entries
+    try:
+        a, b, c, d = (Fraction(x) for x in args.matrix.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SystemExit(f"bad --matrix {args.matrix!r}, expected a,b,c,d: {exc}") from exc
     if args.domain == "finite":
         if args.L is None:
             raise SystemExit("--L is required for the finite domain")
@@ -80,7 +87,7 @@ def cmd_canonicalize(args, t0: float) -> int:
 
 def cmd_gabor(args, t0: float) -> int:
     lat = parse_lattice(args.lattice)
-    g = read_window_csv(args.window)
+    g = read_window(args.window)
     gt = gabor.tighten(g, lat, fourier_twist=args.fourier_twist)
     write_window_csv(args.out, gt)
     dev = gabor.tightness_deviation(gabor.gabor_system(gt, lat), 2.0)
@@ -93,7 +100,7 @@ def cmd_zak(args, t0: float) -> int:
     lat = parse_lattice(args.lattice)
     if lat.b != 0:
         raise SystemExit("zak check applies to rectangular lattices (b = 0)")
-    g = read_window_csv(args.window)
+    g = read_window(args.window)
     tol = args.tol
     qh, qd = zak.cond_quadrature(g, lat.p, tol)
     ch, cd = zak.cond_correlation(g, lat.p, tol)
@@ -112,7 +119,7 @@ def cmd_sigma(args, t0: float) -> int:
 
 def cmd_wilson_build(args, t0: float) -> int:
     lat = parse_lattice(args.lattice)
-    g = read_window_csv(args.window)
+    g = read_window(args.window)
     sys_ = wilson.wilson_finite(g, lat)
     with open(args.out, "w") as fh:
         fh.write("m,n,index,re,im\n")
@@ -126,7 +133,7 @@ def cmd_wilson_build(args, t0: float) -> int:
 
 def cmd_wilson_verify(args, t0: float) -> int:
     lat = parse_lattice(args.lattice)
-    g = read_window_csv(args.window)
+    g = read_window(args.window)
     dev = wilson.gram_deviation(wilson.wilson_finite(g, lat))
     holds = dev <= args.tol
     emit({"command": "wilson verify", "lattice": lat.to_json(),

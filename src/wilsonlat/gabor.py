@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ring import CanonicalFinite
-from .signal import COND_FLOOR, DEFAULT_TOL, FrameError, as_window, unitary_dft
+from .signal import (COND_FLOOR, DEFAULT_TOL, FrameError, as_window, tf_shift,
+                     unitary_dft)
 from .zak import frame_symbol
 
 
@@ -42,16 +43,9 @@ def gabor_system(g, lat: CanonicalFinite) -> GaborSystem:
     if len(g) != lat.L:
         raise FrameError(f"window length {len(g)} != lattice L {lat.L}")
     L, p, b = lat.L, lat.p, lat.b
-    a = lat.time_step
-    N = L // p
-    l = np.arange(L)
-    # all shifts at once: rows indexed by (m, n) lexicographically
-    ms, ns = np.divmod(np.arange(2 * p * N), N)
-    xs = (ms * a + ns * b) % L
-    ys = (ns * p) % L
-    shifted = g[(l[None, :] - xs[:, None]) % L]
-    phases = np.exp(2j * np.pi * (l[None, :] * ys[:, None] % L) / L)
-    return GaborSystem(g, lat, shifted * phases)
+    # rows indexed by (m, n) lexicographically
+    ms, ns = np.divmod(np.arange(2 * L), L // p)
+    return GaborSystem(g, lat, tf_shift(g, ms * lat.time_step + ns * b, ns * p))
 
 
 def frame_operator(sys: GaborSystem) -> np.ndarray:

@@ -113,7 +113,7 @@ def intertwining_phase(sp: SigmaParams, x: int, y: int) -> complex:
     return _phase(e, L)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=4)
 def metaplectic_matrix(sp: SigmaParams) -> np.ndarray:
     """The unitary U with U f(k) = sum_l f(alpha k + beta l) psi(k, l) / scale.
 

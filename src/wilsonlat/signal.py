@@ -74,12 +74,20 @@ def real_spectrum(g, tol: float = REAL_SPECTRUM_TOL) -> np.ndarray:
     return ghat
 
 
-def tf_shift(g, x: int, y: int) -> np.ndarray:
-    """Time-frequency shift: result(l) = g(l - x) e^{2 pi i l y / L}."""
+def tf_shift(g, x, y) -> np.ndarray:
+    """Time-frequency shifts: result[..., l] = g(l - x) e^{2 pi i l y / L}.
+
+    Integer arrays x and y broadcast to one row per shift (scalars give a
+    1-d vector); the phase exponent is reduced exactly, (l y mod L) / L.
+    """
     g = as_window(g)
     L = len(g)
     l = np.arange(L)
-    return np.roll(g, x % L) * np.exp(2j * np.pi * l * (y % L) / L)
+    x = np.asarray(x)[..., None] % L
+    y = np.asarray(y)[..., None] % L
+    out = g[l - x]  # l - x lies in (-L, L): negative indices wrap
+    out *= np.exp(2j * np.pi * l / L)[l * y % L]  # e^{2 pi i k / L} at k = l y mod L
+    return out
 
 
 def inner(f, g) -> complex:
@@ -162,8 +170,7 @@ class DiscreteWindow:
     def periodize(self, L: int) -> np.ndarray:
         """Wrap onto Z_L: out[l] = sum_k g(l + k L)."""
         out = np.zeros(L, dtype=complex)
-        for i, v in enumerate(self.values):
-            out[(self.start + i) % L] += v
+        np.add.at(out, np.arange(self.start, self.stop) % L, self.values)
         return out
 
 
@@ -176,17 +183,24 @@ def write_window_csv(path, w) -> None:
 
 
 def read_window_csv(path) -> np.ndarray:
+    """Window from an ``index,re,im`` CSV; ValueError names a bad line."""
     rows = {}
     with open(path) as fh:
         header = fh.readline().strip()
         if header.replace(" ", "") != "index,re,im":
             raise ValueError(f"bad window CSV header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            i, re, im = line.split(",")
-            rows[int(i)] = complex(float(re), float(im))
+            try:
+                i, re, im = line.split(",")
+                i, v = int(i), complex(float(re), float(im))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad window CSV row {line!r}") from exc
+            if i in rows:
+                raise ValueError(f"{path}:{lineno}: repeated index {i}")
+            rows[i] = v
     if not rows or set(rows) != set(range(len(rows))):
         raise ValueError("window CSV must cover indices 0..L-1")
     return np.array([rows[i] for i in range(len(rows))])

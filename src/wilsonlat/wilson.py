@@ -5,18 +5,20 @@ Finite setting.  For a canonical lattice (L, p, b) the index set is
 
     I = {0..p-1} x {0, L/(2p)}  union  {0..2p-1} x {1..L/(2p)-1},
 
-exactly L indices.  Middle rows combine the atoms at phi(m, n) and
-phi(m, -n) with coefficients 1/sqrt2 (m+n even) or i/sqrt2 (m+n odd),
-where phi is the unimodular index map derived from the symplectic
-parameters (the identity when b = 0).  The two boundary rows n = 0 and
-n = L/(2p) keep the single atoms of even m+n with coefficient 1: at
-those rows the +/- pair is self-paired, the odd combination vanishes
-identically, and only the even-parity atoms survive.  (For n = L/(2p)
-odd this staggers the row by one time step relative to n = 0; with
-L/(2p) even it reduces to taking every other atom starting at m = 0.)
+exactly L indices.  Each element is c1 g[phi(m1, n)] + c2 g[phi(m, -n)]
+for the Gabor atoms g[k, l], where phi is the unimodular index map derived
+from the symplectic parameters (the identity when b = 0) and
+``wilson_pair`` is the one rule for (m1, c1, c2).  Middle rows take m1 = m
+with 1/sqrt2, 1/sqrt2 (m+n even) or i/sqrt2, -i/sqrt2 (m+n odd).  The two
+boundary rows n = 0 and n = L/(2p) keep the single atom m1 = 2m + (n mod 2)
+with c1 = 1, c2 = 0: at those rows the +/- pair is self-paired, the odd
+combination vanishes identically, and only the even-parity atoms survive.
+(For n = L/(2p) odd this staggers the row by one time step relative to
+n = 0; with L/(2p) even it takes every other atom starting at m = 0.)
+The finite basis is one gather of time-frequency shifts through phi.
 
-Sequence setting.  Same combination rules for a lattice (N/2, b, 1/N) in
-Z x T, with m unbounded; elements are finitely supported sequences.
+Sequence setting.  The same rule for a lattice (N/2, b, 1/N) in Z x T,
+with m unbounded; elements are finitely supported sequences.
 
 The Gram matrix of a Wilson system equals the identity exactly when the
 underlying window generates a tight frame with bound 2 and the spectrum
@@ -45,7 +47,6 @@ class PhiParams:
     always equals 1, so the map is a bijection of Z^2.
     """
 
-    setting: str  # "finite" | "discrete"
     b: int
     m0: int = 0
     n0: int = 0
@@ -59,12 +60,12 @@ class PhiParams:
 
 def phi_params_finite(sp: SigmaParams) -> PhiParams:
     if sp.b == 0:
-        return PhiParams("finite", 0)
+        return PhiParams(0)
     u_signed = sp.alpha * (sp.L // (2 * sp.p))
     v = sp.alpha * sp.b + sp.beta * sp.p
     if v % sp.gcd_c or u_signed % sp.gcd_c:
         raise LatticeError("inconsistent PhiParams")
-    return PhiParams("finite", sp.b, sp.m0, sp.n0, v // sp.gcd_c, u_signed // sp.gcd_c)
+    return PhiParams(sp.b, sp.m0, sp.n0, v // sp.gcd_c, u_signed // sp.gcd_c)
 
 
 def phi_params_discrete(N: int, b: int) -> PhiParams:
@@ -73,14 +74,15 @@ def phi_params_discrete(N: int, b: int) -> PhiParams:
     if not 0 <= b < N // 2:
         raise LatticeError("b out of range [0, N/2)")
     if b == 0:
-        return PhiParams("discrete", 0)
+        return PhiParams(0)
     half = N // 2
     # Bezout pair with (N/2) m0 + b n0 = c = gcd(N/2, b)
     c, m0, n0 = ext_gcd(half, b)
-    return PhiParams("discrete", b, m0, n0, b // c, half // c)
+    return PhiParams(b, m0, n0, b // c, half // c)
 
 
-def phi_map(m: int, n: int, pp: PhiParams) -> tuple[int, int]:
+def phi_map(m, n, pp: PhiParams) -> tuple:
+    """phi(m, n) for ints or elementwise for integer arrays."""
     if pp.b == 0:
         return (m, n)
     return (m * pp.m0 - pp.k1 * n, m * pp.n0 + pp.k2 * n)
@@ -96,11 +98,21 @@ def phi_inverse(k: int, l: int, pp: PhiParams) -> tuple[int, int]:
 def wilson_index_set(L: int, p: int) -> list[tuple[int, int]]:
     """Index pairs (m, n) in lexicographic (n, m) order; always L of them."""
     top = L // (2 * p)
-    idx = [(m, 0) for m in range(p)]
-    for n in range(1, top):
-        idx.extend((m, n) for m in range(2 * p))
-    idx.extend((m, top) for m in range(p))
-    return idx
+    return [(m, n) for n in range(top + 1) for m in range(p if n in (0, top) else 2 * p)]
+
+
+def wilson_pair(m, n, top: int | None) -> tuple:
+    """The Wilson rule at index (m, n) with boundary rows n = 0 and n = top.
+
+    Returns (m1, c1, c2): the element is c1 g[phi(m1, n)] + c2 g[phi(m, -n)].
+    Works on ints and elementwise on integer arrays; ``top=None`` means no
+    upper boundary row (the continuous setting).
+    """
+    edge = (n == 0) | (n == top)
+    odd = (m + n) % 2
+    mid = (1 - edge) / np.sqrt(2.0)  # 0 on the boundary rows
+    sign = 1 - odd + 1j * odd        # 1 for m+n even, i for m+n odd
+    return m + edge * (m + n % 2), edge + mid * sign, mid * np.conj(sign)
 
 
 @dataclass(frozen=True)
@@ -109,14 +121,12 @@ class WilsonSystem:
     index_set: tuple
     window: np.ndarray = field(repr=False)
     lattice: CanonicalFinite
-    setting: str = "finite"
-
-    @property
-    def L(self) -> int:
-        return self.lattice.L
 
     def element(self, m: int, n: int) -> np.ndarray:
-        return self.basis[self.index_set.index((m, n))]
+        p, top = self.lattice.p, self.lattice.time_step
+        if not (0 <= n <= top and 0 <= m < (p if n in (0, top) else 2 * p)):
+            raise ValueError(f"({m}, {n}) is not a Wilson index of {self.lattice}")
+        return self.basis[m + max(2 * n - 1, 0) * p]
 
 
 def wilson_finite(g, lat: CanonicalFinite, sp: SigmaParams | None = None) -> WilsonSystem:
@@ -129,29 +139,17 @@ def wilson_finite(g, lat: CanonicalFinite, sp: SigmaParams | None = None) -> Wil
     g = as_window(g)
     if len(g) != lat.L:
         raise FrameError(f"window length {len(g)} != lattice L {lat.L}")
-    L, p, b = lat.L, lat.p, lat.b
-    a = lat.time_step
-    if b == 0:
-        pp = PhiParams("finite", 0)
-    else:
-        pp = phi_params_finite(sp if sp is not None else sigma_params(lat))
-
-    def atom(mm: int, nn: int) -> np.ndarray:
-        return tf_shift(g, mm * a + nn * b, nn * p)
-
-    top = a  # = L/(2p)
-    rows = []
+    L, p, b, a = lat.L, lat.p, lat.b, lat.time_step
+    pp = PhiParams(0) if b == 0 else phi_params_finite(sp or sigma_params(lat))
     idx = wilson_index_set(L, p)
-    sqrt2 = np.sqrt(2.0)
-    for m, n in idx:
-        if n == 0 or n == top:
-            mm = 2 * m + (n % 2)  # boundary rows keep m + n even
-            rows.append(atom(*phi_map(mm, n, pp)))
-        elif (m + n) % 2 == 0:
-            rows.append((atom(*phi_map(m, n, pp)) + atom(*phi_map(m, -n, pp))) / sqrt2)
-        else:
-            rows.append(1j * (atom(*phi_map(m, n, pp)) - atom(*phi_map(m, -n, pp))) / sqrt2)
-    return WilsonSystem(np.array(rows), tuple(idx), g, lat, "finite")
+    m, n = np.array(idx).T
+    m1, c1, c2 = wilson_pair(m, n, a)
+    k, l = phi_map(m1, n, pp)
+    basis = tf_shift(g, k * a + l * b, l * p)
+    basis *= c1[:, None]
+    k, l = phi_map(m, -n, pp)
+    basis += c2[:, None] * tf_shift(g, k * a + l * b, l * p)
+    return WilsonSystem(basis, tuple(idx), g, lat)
 
 
 def gram(sys_or_basis) -> np.ndarray:
@@ -190,25 +188,16 @@ class WilsonSequenceFamily:
     def element(self, m: int, n: int) -> DiscreteWindow:
         if not 0 <= n <= self.N // 2:
             raise ValueError("n out of range [0, N/2]")
-        half = self.N // 2
-        if n == 0 or n == half:
-            return self._atom(*phi_map(2 * m + (n % 2), n, self.pp))
-        e1 = self._atom(*phi_map(m, n, self.pp))
-        e2 = self._atom(*phi_map(m, -n, self.pp))
-        lo = min(e1.start, e2.start)
-        hi = max(e1.stop, e2.stop)
-        v1, v2 = e1.sample(lo, hi), e2.sample(lo, hi)
-        if (m + n) % 2 == 0:
-            return DiscreteWindow(lo, (v1 + v2) / np.sqrt(2.0))
-        return DiscreteWindow(lo, 1j * (v1 - v2) / np.sqrt(2.0))
+        m1, c1, c2 = wilson_pair(m, n, self.N // 2)
+        atoms = [(c, self._atom(*phi_map(mm, nn, self.pp)))
+                 for c, mm, nn in ((c1, m1, n), (c2, m, -n)) if c != 0]
+        lo = min(e.start for _, e in atoms)
+        hi = max(e.stop for _, e in atoms)
+        return DiscreteWindow(lo, sum(c * e.sample(lo, hi) for c, e in atoms))
 
     def elements(self, m_range) -> list[tuple[tuple[int, int], DiscreteWindow]]:
         """All elements with m in m_range, (n, m)-lex order."""
-        out = []
-        for n in range(self.N // 2 + 1):
-            for m in m_range:
-                out.append(((m, n), self.element(m, n)))
-        return out
+        return [((m, n), self.element(m, n)) for n in range(self.N // 2 + 1) for m in m_range]
 
 
 def wilson_discrete(g: DiscreteWindow, N: int, b: int) -> WilsonSequenceFamily:
@@ -335,19 +324,15 @@ def continuous_wilson_gram(g: np.ndarray, a: float, b: float, d: float,
     L = len(g)
     root, t = _grid(L)
 
-    def atom(x: float, y: float) -> np.ndarray:
-        return _frac_shift(g, x * root) * np.exp(2j * np.pi * y * t)
+    def atom(m: int, n: int) -> np.ndarray:
+        return _frac_shift(g, (m * a + n * b) * root) * np.exp(2j * np.pi * n * d * t)
 
-    rows = [atom(2 * m * a, 0.0) for m in range(-m_max, m_max + 1)]
-    for n in range(1, n_max + 1):
+    rows = []
+    for n in range(n_max + 1):
         phase = np.exp(-1j * np.pi * b * d * n * n)
         for m in range(-m_max, m_max + 1):
-            plus = atom(m * a + n * b, n * d)
-            minus = atom(m * a - n * b, -n * d)
-            if (m + n) % 2 == 0:
-                rows.append(phase * (plus + minus) / np.sqrt(2.0))
-            else:
-                rows.append(1j * phase * (plus - minus) / np.sqrt(2.0))
+            m1, c1, c2 = wilson_pair(m, n, None)
+            rows.append(phase * (c1 * atom(m1, n) + c2 * atom(m, -n)))
     B = np.array(rows)
     G = B @ B.conj().T / L
     return float(np.max(np.abs(G - np.eye(len(rows)))))

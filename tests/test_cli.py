@@ -43,6 +43,14 @@ def test_canonicalize_bad_determinant_exit3(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("matrix", ["1/0,0,0,1", "a,b,c,d", "1,0,0"])
+def test_canonicalize_bad_matrix_exit2(capsys, matrix):
+    code, out, err = run(capsys, "canonicalize", "--domain", "real", "--matrix", matrix)
+    assert code == 2
+    assert out == ""
+    assert "--matrix" in err and len(err.strip().splitlines()) == 1
+
+
 def test_usage_error_exit2(capsys):
     assert main(["canonicalize", "--domain", "bogus", "--matrix", "1,0,0,1"]) == 2
     assert main(["no-such-command"]) == 2
@@ -151,6 +159,19 @@ def test_unreadable_window_exit2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("rows", [["0,1,0", "1,0.5,0", "1,9,0"],   # repeated index
+                                  ["0,1,0", "1,0.5"],              # missing field
+                                  ["0,1,0", "1,half,0"]])          # non-numeric value
+def test_malformed_window_exit2(tmp_path, capsys, rows):
+    win = tmp_path / "bad.csv"
+    win.write_text("\n".join(["index,re,im", *rows]) + "\n")
+    code, out, err = run(capsys, "wilson", "verify", "--lattice", "2,1,0",
+                         "--window", str(win))
+    assert code == 2
+    assert out == ""
+    assert "bad.csv:" in err and len(err.strip().splitlines()) == 1
 
 
 def test_unwritable_out_exit2(tmp_path, capsys):

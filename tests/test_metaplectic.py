@@ -255,3 +255,12 @@ def test_centered_dft_matches_direct():
     W = np.exp(-2j * np.pi * np.outer(j - L / 2, j - L / 2) / L) / np.sqrt(L)
     assert np.max(np.abs(centered_dft(f) - W @ f)) < 1e-12
     assert np.max(np.abs(centered_dft(centered_dft(f), inverse=True) - f)) < 1e-12
+
+
+def test_kernel_cache_is_bounded():
+    # each lattice is new to the cache: sigma_params is cached separately,
+    # so the kernels are requested directly
+    for b in range(1, 11):
+        metaplectic_matrix(sigma_params(CanonicalFinite(40, 1, b)))
+    info = metaplectic_matrix.cache_info()
+    assert info.currsize <= info.maxsize <= 4

@@ -40,6 +40,20 @@ def test_tf_shift_examples():
     assert np.allclose(tf_shift(delta, 0, 3), delta)
 
 
+def test_tf_shift_arrays_stack_scalar_calls():
+    rng = SplitMix64(16)
+    L = 12
+    g = rng.complex_vector(L)
+    x = np.array([[0, 5, -7], [13, 2 * L + 1, -1]])
+    y = np.array([3, -4, 10 * L + 5])
+    got = tf_shift(g, x, y)
+    assert got.shape == (2, 3, L)
+    want = np.array([[tf_shift(g, int(x[i, j]), int(y[j])) for j in range(3)] for i in range(2)])
+    assert np.max(np.abs(got - want)) < 1e-14
+    assert tf_shift(g, 3, 5).shape == (L,)
+    assert np.array_equal(tf_shift(g, np.array([3]), 5)[0], tf_shift(g, 3, 5))
+
+
 def test_tf_shift_composition_phase():
     rng = SplitMix64(12)
     L = 12
@@ -144,3 +158,16 @@ def test_window_csv_roundtrip(tmp_path):
     back = read_window_csv(path)
     assert np.max(np.abs(back - w)) < 1e-15
     assert (path.read_text().splitlines()[0]) == "index,re,im"
+
+
+@pytest.mark.parametrize("rows, line, what", [
+    (["0,1,0", "1,0.5,0", "1,9,0"], 4, "repeated index 1"),
+    (["0,1,0", "1,0.5"], 3, "bad window CSV row"),
+    (["0,1,0", "1,half,0"], 3, "bad window CSV row"),
+])
+def test_window_csv_malformed_rows_name_the_line(tmp_path, rows, line, what):
+    path = tmp_path / "w.csv"
+    path.write_text("\n".join(["index,re,im", *rows]) + "\n")
+    with pytest.raises(ValueError, match=what) as info:
+        read_window_csv(path)
+    assert f"w.csv:{line}:" in str(info.value)

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wilsonlat.gabor import FrameError, tighten
 from wilsonlat.metaplectic import metaplectic_matrix, sigma_params
 from wilsonlat.ring import CanonicalFinite, LatticeError
 from wilsonlat.rng import SplitMix64
-from wilsonlat.signal import DiscreteWindow
+from wilsonlat.signal import DiscreteWindow, tf_shift
 from wilsonlat.wilson import (PhiParams, equivalence_report, gram,
                               gram_deviation, gram_discrete, periodized_gram,
                               phi_inverse, phi_map, phi_params_discrete,
                               phi_params_finite, wilson_continuous_demo,
-                              wilson_discrete, wilson_finite, wilson_index_set)
+                              wilson_discrete, wilson_finite, wilson_index_set,
+                              wilson_pair)
 
 
 def divisors_of_half(L):
@@ -86,7 +89,7 @@ class TestPhiMap:
 
     def test_inconsistent_params_rejected(self):
         with pytest.raises(LatticeError, match="inconsistent"):
-            PhiParams("finite", 3, m0=1, n0=1, k1=1, k2=2)
+            PhiParams(3, m0=1, n0=1, k1=1, k2=2)
 
 
 class TestWilsonIndexSet:
@@ -98,6 +101,85 @@ class TestWilsonIndexSet:
     def test_shape(self):
         idx = wilson_index_set(8, 1)
         assert idx == [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4)]
+
+
+def canonical_lattices(max_L):
+    for L in range(2, max_L + 1, 2):
+        for p in divisors_of_half(L):
+            for b in range(L // (2 * p)):
+                yield CanonicalFinite(L, p, b)
+
+
+def literal_wilson_basis(g, lat):
+    """Per-element oracle: a loop over I with one tf_shift per atom."""
+    L, p, b, a = lat.L, lat.p, lat.b, lat.time_step
+    pp = phi_params_finite(sigma_params(lat))
+
+    def atom(m, n):
+        k, l = phi_map(m, n, pp)
+        return tf_shift(g, k * a + l * b, l * p)
+
+    rows = []
+    for m, n in wilson_index_set(L, p):
+        if n == 0 or n == a:
+            rows.append(atom(2 * m + n % 2, n))
+        elif (m + n) % 2 == 0:
+            rows.append((atom(m, n) + atom(m, -n)) / np.sqrt(2))
+        else:
+            rows.append(1j * (atom(m, n) - atom(m, -n)) / np.sqrt(2))
+    return np.array(rows)
+
+
+class TestWilsonGather:
+    def test_matches_literal_builder_on_all_small_lattices(self):
+        rng = SplitMix64(58)
+        lattices = list(canonical_lattices(48))
+        assert len(lattices) == 491
+        for lat in lattices:
+            g = rng.complex_vector(lat.L)
+            err = np.max(np.abs(wilson_finite(g, lat).basis - literal_wilson_basis(g, lat)))
+            assert err <= 1e-12 * np.max(np.abs(g)), (lat, err)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_literal_builder_generated(self, data):
+        half = data.draw(st.integers(1, 32), label="L/2")
+        p = data.draw(st.sampled_from(divisors_of_half(2 * half)), label="p")
+        b = data.draw(st.integers(0, half // p - 1), label="b")
+        lat = CanonicalFinite(2 * half, p, b)
+        parts = st.floats(-1.0, 1.0, allow_subnormal=False)
+        re = np.array(data.draw(st.lists(parts, min_size=lat.L, max_size=lat.L), label="re"))
+        im = np.array(data.draw(st.lists(parts, min_size=lat.L, max_size=lat.L), label="im"))
+        g = re + 1j * im
+        err = np.max(np.abs(wilson_finite(g, lat).basis - literal_wilson_basis(g, lat)))
+        assert err <= 1e-12 * max(1.0, np.max(np.abs(g)))
+
+    def test_rule_on_ints_matches_rule_on_arrays(self):
+        L, p = 24, 2
+        m, n = np.array(wilson_index_set(L, p)).T
+        m1, c1, c2 = wilson_pair(m, n, L // (2 * p))
+        for i in range(L):
+            assert wilson_pair(int(m[i]), int(n[i]), L // (2 * p)) == (m1[i], c1[i], c2[i])
+        edge = (n == 0) | (n == L // (2 * p))
+        assert np.all(c1[edge] == 1) and np.all(c2[edge] == 0)
+        assert np.allclose(np.abs(c1[~edge]), 2 ** -0.5)
+        assert np.array_equal(c2[~edge], np.conj(c1[~edge]))
+
+    def test_element_reads_the_indexed_row(self):
+        rng = SplitMix64(59)
+        for lat in (CanonicalFinite(24, 2, 0), CanonicalFinite(12, 2, 1),
+                    CanonicalFinite(12, 6, 0), CanonicalFinite(8, 1, 3)):
+            sys = wilson_finite(rng.complex_vector(lat.L), lat)
+            for row, (m, n) in enumerate(sys.index_set):
+                assert np.array_equal(sys.element(m, n), sys.basis[row])
+
+    def test_element_rejects_indices_outside_I(self):
+        L, p = 24, 2
+        sys = wilson_finite(np.ones(L), CanonicalFinite(L, p, 0))
+        for m, n in ((p, 0), (0, L // (2 * p) + 1), (-1, 1), (p, L // (2 * p)),
+                     (2 * p, 1), (0, -1)):
+            with pytest.raises(ValueError, match="not a Wilson index"):
+                sys.element(m, n)
 
 
 class TestWilsonFiniteRectangular:
@@ -220,6 +302,15 @@ class TestWilsonDiscrete:
         for m in (-2, 0, 3):
             e = fam.element(m, 0)
             assert e.start == 2 * m and np.allclose(e.values, [1.0])
+
+    def test_boundary_elements_keep_single_atom_support(self):
+        g = DiscreteWindow(-2, [1.0, 0.5, 0.25])
+        for N, b in ((8, 0), (8, 1), (12, 2)):
+            fam = wilson_discrete(g, N, b)
+            for m in (-2, 0, 3):
+                for n in (0, N // 2):
+                    e = fam.element(m, n)
+                    assert len(e.values) == 3 and np.allclose(np.abs(e.values), np.abs(g.values))
 
     def test_coefficient_rules(self):
         g = DiscreteWindow(0, [1.0, 0.5])
