@@ -7,10 +7,9 @@ a sampled continuous demonstration pipeline.
 
 from .gabor import (FrameError, GaborSystem, frame_operator, gabor_system,
                     is_tight, symmetrize, tighten, tightness_deviation)
-from .metaplectic import (ContinuousFactorization, ParameterSearchError,
-                          SigmaParams, apply_continuous_U, chirp_discrete,
-                          continuous_factor, intertwining_phase, meta_finite,
-                          metaplectic_matrix, sigma_params)
+from .metaplectic import (ParameterSearchError, SigmaParams, apply_continuous_U,
+                          intertwining_phase, meta_finite, metaplectic_matrix,
+                          sigma_params)
 from .ring import (CanonicalDiscrete, CanonicalFinite, CanonicalReal,
                    GeneratorMatrix, LatticeError, Rational, canonical_discrete,
                    canonical_finite, ext_gcd, hnf_real, lattice_points_finite)

@@ -4,7 +4,9 @@ Subcommands: canonicalize, gabor, zak, sigma, wilson, demo-hex, selftest.
 Reports are JSON on stdout with sorted keys, so identical inputs (and
 --seed) produce byte-identical output; wall time goes to stderr.  Exit
 codes: 0 success / verdict true, 1 verdict false, 2 usage error (a bad
-flag, WILSON_TOL or file: missing, unreadable, malformed, unwritable),
+flag, WILSON_TOL or file: missing, unreadable, malformed, unwritable; a
+window whose length is not the lattice's L; a demo-hex --L that is not the
+square of an even integer >= 64 or a --nu that is not finite positive),
 3 numerical failure.  WILSON_TOL (finite > 0) replaces the 1e-9 default.
 """
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import gabor, metaplectic, ring, wilson, zak
 from .rng import SplitMix64
-from .signal import DEFAULT_TOL, read_window_csv, write_window_csv
+from .signal import DEFAULT_TOL, read_window_csv, write_samples, write_window_csv
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -53,11 +55,14 @@ def parse_lattice(text: str) -> ring.CanonicalFinite:
         raise SystemExit(f"bad --lattice {text!r}: {exc}") from exc
 
 
-def read_window(path: str) -> np.ndarray:
+def read_window(path: str, lat: ring.CanonicalFinite) -> np.ndarray:
     try:
-        return read_window_csv(path)
+        g = read_window_csv(path)
     except ValueError as exc:
         raise SystemExit(f"bad --window {path}: {exc}") from exc
+    if len(g) != lat.L:
+        raise SystemExit(f"bad --window {path}: {len(g)} samples for a lattice with L = {lat.L}")
+    return g
 
 
 def emit(report: dict, t0: float) -> None:
@@ -87,7 +92,7 @@ def cmd_canonicalize(args, t0: float) -> int:
 
 def cmd_gabor(args, t0: float) -> int:
     lat = parse_lattice(args.lattice)
-    g = read_window(args.window)
+    g = read_window(args.window, lat)
     gt = gabor.tighten(g, lat, fourier_twist=args.fourier_twist)
     write_window_csv(args.out, gt)
     dev = gabor.tightness_deviation(gabor.gabor_system(gt, lat), 2.0)
@@ -100,7 +105,7 @@ def cmd_zak(args, t0: float) -> int:
     lat = parse_lattice(args.lattice)
     if lat.b != 0:
         raise SystemExit("zak check applies to rectangular lattices (b = 0)")
-    g = read_window(args.window)
+    g = read_window(args.window, lat)
     tol = args.tol
     qh, qd = zak.cond_quadrature(g, lat.p, tol)
     ch, cd = zak.cond_correlation(g, lat.p, tol)
@@ -119,13 +124,11 @@ def cmd_sigma(args, t0: float) -> int:
 
 def cmd_wilson_build(args, t0: float) -> int:
     lat = parse_lattice(args.lattice)
-    g = read_window(args.window)
+    g = read_window(args.window, lat)
     sys_ = wilson.wilson_finite(g, lat)
     with open(args.out, "w") as fh:
         fh.write("m,n,index,re,im\n")
-        for (m, n), row in zip(sys_.index_set, sys_.basis):
-            for l, v in enumerate(row):
-                fh.write(f"{m},{n},{l},{v.real:.17g},{v.imag:.17g}\n")
+        write_samples(fh, sys_.basis, [f"{m},{n}," for m, n in sys_.index_set])
     emit({"command": "wilson build", "lattice": lat.to_json(),
           "elements": len(sys_.index_set), "out": args.out}, t0)
     return EXIT_OK
@@ -133,7 +136,7 @@ def cmd_wilson_build(args, t0: float) -> int:
 
 def cmd_wilson_verify(args, t0: float) -> int:
     lat = parse_lattice(args.lattice)
-    g = read_window(args.window)
+    g = read_window(args.window, lat)
     dev = wilson.gram_deviation(wilson.wilson_finite(g, lat))
     holds = dev <= args.tol
     emit({"command": "wilson verify", "lattice": lat.to_json(),
@@ -142,6 +145,11 @@ def cmd_wilson_verify(args, t0: float) -> int:
 
 
 def cmd_demo_hex(args, t0: float) -> int:
+    root = math.isqrt(max(args.L, 0))
+    if args.L < 64 or root * root != args.L or root % 2:
+        raise SystemExit(f"--L must be the square of an even integer >= 64, got {args.L}")
+    if not 0 < args.nu < math.inf:
+        raise SystemExit(f"--nu must be a finite positive number, got {args.nu}")
     rep = wilson.wilson_continuous_demo(args.nu, args.L)
     out = {**rep.to_json(), "command": "demo-hex"}
     if args.out:
@@ -183,10 +191,8 @@ def cmd_selftest(args, t0: float) -> int:
 
     # four-way equivalence on an aligned sheared lattice
     lat = ring.CanonicalFinite(8, 1, 3)
-    sp = metaplectic.sigma_params(lat)
-    U = metaplectic.metaplectic_matrix(sp)
     h = rng.real_dft_window(8)
-    gt = gabor.tighten(U @ h, lat)
+    gt = gabor.tighten(metaplectic.meta_finite(h, metaplectic.sigma_params(lat)), lat)
     rep = wilson.equivalence_report(gt, lat)
     checks["four_way_equivalence"] = all(rep.verdicts())
 

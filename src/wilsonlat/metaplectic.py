@@ -10,10 +10,30 @@ explicit quadratic phase:
     C(x, y) = e^{-pi i (alpha gamma x^2 + beta delta y^2)(L+1)/L}
               e^{-2 pi i beta gamma x y / L}.
 
-The parameters derive from a Bezout-type search; the search prefers
-choices under which sigma maps the lattice onto the rectangle with the
-*same* frequency step p (possible iff gcd(p, L/(2p)) divides b), because
-only then do the Wilson index sets of the two lattices line up.
+U is the normalized kernel sum U f(k) = sum_l f(alpha k + beta l) psi(k, l),
+psi the phase of C at (k, l).
+
+Search.  A candidate is a row (alpha, beta), |alpha| = 1, v = alpha b +
+beta p != 0, c = gcd(L/(2p), |v|), with a Bezout pair (m0, n0) solving
+alpha (L/2p) m0 + v n0 = c.  Preference: larger c (c = L/(2p) maps onto
+the rectangle with the *same* p, possible iff gcd(p, L/(2p)) | b, and only
+then do the Wilson index sets line up), the sign conditions, small |beta|,
+|m0|, |n0|, alpha = +1, then (beta, m0, n0).  The kernel of a candidate is
+proportional to a unitary unless beta != 0 and v2(beta) = v2(L), v2 the
+exponent of 2 (its Gauss sums vanish; checked against the dense test, not
+proven here).  The search ranks every beta of the box by c at once, visits
+the rows of largest c in order of |beta|, solves each row for all n0 at
+once and stops at the first row that meets the sign conditions.
+
+Transport.  Through the shears sigma = [[alpha, 0], [gamma, alpha]]
+[[1, alpha beta], [0, 1]] (Feichtinger, Hazewinkel, Kaiblinger, Matusiak,
+Neuhauser, "Metaplectic operators on C^n", QJM 2008)
+
+    U = c F^H diag(chi_{-alpha beta}) F P_alpha diag(chi_{alpha gamma}),
+    chi_t(k) = e^{-pi i t (L+1) k^2 / L},   P_alpha f(k) = f(alpha k),
+
+F the unitary DFT and |c| = 1 read from the first kernel row: O(L log L),
+no L x L array.
 
 The continuous-domain analogue U = D_{1/d} o F o N_{-b/d} o F^{-1} (for a
 canonical real lattice [[a, b], [0, d]] of volume 1/2) is discretized on
@@ -23,21 +43,22 @@ lattice {(ma+nb, nd)} onto {(m/2, n)} through A = [[d, -b], [0, 2a]].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from math import gcd
 
 import numpy as np
 
 from .ring import CanonicalFinite, CanonicalReal, LatticeError
-from .signal import DiscreteWindow, as_window, centered_dft
+from .signal import as_window, centered_dft
 
 UNITARY_TOL = 1e-9
 
 
 class ParameterSearchError(ValueError):
-    """No admissible symplectic parameters in the search box."""
+    """No admissible symplectic parameters in the search box, or a bundle
+    whose kernel sum is not proportional to a unitary."""
 
 
 @dataclass(frozen=True)
@@ -96,8 +117,9 @@ class SigmaParams:
                 "sign_adjusted": self.sign_adjusted}
 
 
-def _phase(numer: int, L: int) -> complex:
-    """e^{-pi i numer / L} with the integer exponent reduced mod 2L.
+def _phase(numer, L: int):
+    """e^{-pi i numer / L} with the integer exponent reduced mod 2L (ints
+    or integer arrays).
 
     Keeping the exponent small before the float multiply keeps the phases
     at machine precision even when the raw integers are huge.
@@ -113,45 +135,59 @@ def intertwining_phase(sp: SigmaParams, x: int, y: int) -> complex:
     return _phase(e, L)
 
 
-@lru_cache(maxsize=4)
-def metaplectic_matrix(sp: SigmaParams) -> np.ndarray:
-    """The unitary U with U f(k) = sum_l f(alpha k + beta l) psi(k, l) / scale.
+def _admissible(beta, L: int):
+    """False exactly when beta != 0 and v2(beta) = v2(L); ints or arrays."""
+    two = L & -L  # 2^{v2(L)}
+    return beta % (2 * two) != two
 
-    The raw kernel sum is proportional to a unitary matrix; the scale is
-    fixed by normalizing (for beta = 0 the l-sum is degenerate and
-    contributes a factor L).  Raises if the raw sum degenerates, which
-    happens for parameter choices whose quadratic phase collapses to a
-    pure character.  The returned array is cached and read-only.
-    """
+
+def _chirp(t: int, L: int) -> np.ndarray:
+    """chi_t(k) = e^{-pi i t (L+1) k^2 / L} for k = 0..L-1."""
+    k = np.arange(L)
+    return _phase(t * (L + 1) % (2 * L) * (k * k % (2 * L)), L)
+
+
+def _shears(f: np.ndarray, sp: SigmaParams, inverse: bool) -> np.ndarray:
+    """W = F^H diag(chi_{-alpha beta}) F P_alpha diag(chi_{alpha gamma}) (or W^H)
+    along the last axis: U = c W."""
     L = sp.L
-    raw = _raw_metaplectic(sp)
-    G = raw @ raw.conj().T
-    scale2 = float(np.mean(np.real(np.diag(G))))
-    if scale2 <= 1e-12 or np.max(np.abs(G - scale2 * np.eye(L))) > UNITARY_TOL * scale2:
+    outer = _chirp(sp.alpha * sp.gamma, L)
+    inner = _chirp(-sp.alpha * sp.beta, L) if sp.beta else None
+    flip = -np.arange(L) % L if sp.alpha == -1 else slice(None)
+    if inverse:
+        if inner is not None:
+            f = np.fft.ifft(np.fft.fft(f) * inner.conj())
+        return f[..., flip] * outer.conj()
+    f = (f * outer)[..., flip]
+    return f if inner is None else np.fft.ifft(np.fft.fft(f) * inner)
+
+
+def _unit_constant(sp: SigmaParams) -> complex:
+    """c with U = c W from the first kernel row r(beta l) += chi_{beta delta}(l),
+    which must be parallel to the first row of W (else: not unitary)."""
+    L = sp.L
+    w = _chirp(sp.beta * sp.delta, L)
+    cols = sp.beta * np.arange(L) % L
+    row = np.bincount(cols, w.real, L) + 1j * np.bincount(cols, w.imag, L)
+    z = complex(row @ _shears(np.eye(1, L, dtype=complex)[0], sp, inverse=True))
+    if not abs(z) > (1 - UNITARY_TOL) * np.linalg.norm(row):
         raise ParameterSearchError("metaplectic kernel is not proportional to a unitary")
-    U = raw / np.sqrt(scale2)
-    U.setflags(write=False)
-    return U
+    return z / abs(z)
 
 
-def _raw_metaplectic(sp: SigmaParams) -> np.ndarray:
-    L = sp.L
-    al, be, ga, de = sp.alpha, sp.beta, sp.gamma, sp.delta
-    U = np.zeros((L, L), dtype=complex)
-    ks = np.arange(L)
-    for l in range(L):
-        cols = (al * ks + be * l) % L
-        exps = ((al * ga * ks * ks + be * de * l * l) * (L + 1) + 2 * be * ga * ks * l) % (2 * L)
-        U[ks, cols] += np.exp(-1j * np.pi * exps / L)
-    return U
-
-
-def meta_finite(f, sp: SigmaParams) -> np.ndarray:
-    """Apply the normalized metaplectic unitary to a window."""
+def meta_finite(f, sp: SigmaParams, inverse: bool = False) -> np.ndarray:
+    """U f (or U^H f) through two chirps and one FFT pair, O(L log L)."""
     f = as_window(f)
     if len(f) != sp.L:
         raise ValueError("window length does not match the lattice")
-    return metaplectic_matrix(sp) @ f
+    c = _unit_constant(sp)
+    return (c.conjugate() if inverse else c) * _shears(f, sp, inverse)
+
+
+def metaplectic_matrix(sp: SigmaParams) -> np.ndarray:
+    """Dense U (column k = U e_k) from the factored operator: a small-L
+    oracle; production code applies U through :func:`meta_finite`."""
+    return (_unit_constant(sp) * _shears(np.eye(sp.L, dtype=complex), sp, False)).T
 
 
 def _identity_params(lat: CanonicalFinite) -> SigmaParams:
@@ -163,139 +199,79 @@ def _identity_params(lat: CanonicalFinite) -> SigmaParams:
                        L=lat.L, p=lat.p, b=0, aligned=True, sign_adjusted=False)
 
 
-def _candidates(lat: CanonicalFinite, box: int):
-    """Admissible parameter tuples sorted by preference.
+def _row_candidates(lat: CanonicalFinite, box: int, alpha: int, beta: int) -> np.ndarray:
+    """Columns (alpha, beta, m0, n0, x0, y0, sign_ok) of the row's valid
+    candidates in the box: n0 = (v/c)^{-1} mod u/c, m0 moving by -alpha v/c."""
+    u, p, b = lat.time_step, lat.p, lat.b
+    v = alpha * b + beta * p
+    c = gcd(u, abs(v))
+    step = u // c
+    first = pow(v // c, -1, step) if step > 1 else 0
+    j = np.arange(-((box + first) // step), (box - first) // step + 1)
+    n0 = first + step * j
+    m0 = (c - v * first) // (alpha * u) - alpha * (v // c) * j
+    x0 = u * m0 + b * n0
+    y0 = p * n0
+    keep = (n0 != 0) & (np.abs(m0) <= box) & (x0 != 0)
+    keep[keep] = np.gcd(x0[keep], y0[keep]) == c
+    sign_ok = ((x0 < 0) != (y0 < 0)) & (alpha * v > 0)
+    cols = np.broadcast_arrays(alpha, beta, m0, n0, x0, y0, sign_ok)
+    return np.array(cols, dtype=np.int64)[:, keep]
 
-    Preference order: image lattice aligned with (L, p, 0) first, then
-    larger gcd_c, satisfied sign conditions, small |beta|, |m0|, |n0|,
-    alpha = +1, and finally plain lexicographic order for determinism.
-    """
-    L, p, b = lat.L, lat.p, lat.b
-    u = lat.time_step
-    out = []
-    for alpha in (1, -1):
-        for beta in range(-box, box + 1):
-            v = alpha * b + beta * p
-            if v == 0:
-                continue
-            c = gcd(u, abs(v))
-            for n0 in range(-box, box + 1):
-                if n0 == 0:
-                    continue
-                num = c - v * n0
-                if num % (alpha * u):
-                    continue
-                m0 = num // (alpha * u)
-                if abs(m0) > box:
-                    continue
-                x0 = u * m0 + b * n0
-                if x0 == 0:
-                    continue
-                y0 = p * n0
-                s = gcd(abs(x0), abs(y0))
-                if s != c:
-                    continue
-                sign_ok = (x0 * y0 < 0) and ((alpha * u) * v > 0)
-                key = (0 if c == u else 1, -c, not sign_ok,
-                       abs(beta), abs(m0), abs(n0), alpha != 1, beta, m0, n0)
-                t = -(x0 * y0) // s
-                params = SigmaParams(alpha=alpha, beta=beta,
-                                     gamma=-y0 // s, delta=x0 // s,
-                                     m0=m0, n0=n0, gcd_c=c,
-                                     lcm_d=(alpha * u) * v // c, s=s, t=t,
-                                     L=L, p=p, b=b,
-                                     aligned=(c == u), sign_adjusted=not sign_ok)
-                out.append((key, params))
-    out.sort(key=lambda kp: kp[0])
-    return [params for _, params in out]
+
+def _pick(lat: CanonicalFinite, c: int, cands: np.ndarray) -> SigmaParams:
+    """The preferred column: small |m0|, |n0|, alpha = +1, then (beta, m0, n0)."""
+    i = np.lexsort((cands[3], cands[2], cands[1], cands[0] != 1,
+                    np.abs(cands[3]), np.abs(cands[2])))[0]
+    alpha, beta, m0, n0, x0, y0, sign_ok = (int(x) for x in cands[:, i])
+    return SigmaParams(alpha=alpha, beta=beta, gamma=-y0 // c, delta=x0 // c,
+                       m0=m0, n0=n0, gcd_c=c,
+                       lcm_d=alpha * lat.time_step * (alpha * lat.b + beta * lat.p) // c,
+                       s=c, t=-(x0 * y0) // c, L=lat.L, p=lat.p, b=lat.b,
+                       aligned=(c == lat.time_step), sign_adjusted=not sign_ok)
+
+
+def _search(lat: CanonicalFinite, box: int) -> SigmaParams:
+    """The first admissible candidate in the preference order: rows by -c,
+    then |beta|; the first sign-ok candidate wins, and if the largest c with
+    candidates has none, its first candidate does (sign_adjusted)."""
+    L, p, b, u = lat.L, lat.p, lat.b, lat.time_step
+    beta = np.arange(-box, box + 1)
+    alpha = np.repeat([1, -1], len(beta))
+    beta = np.tile(beta, 2)
+    v = alpha * b + beta * p
+    keep = (v != 0) & _admissible(beta, L)
+    alpha, beta, c = alpha[keep], beta[keep], np.gcd(u, v[keep])
+    order = np.lexsort((np.abs(beta), -c))
+    fallback = None
+    for (cr, _), rows in groupby(order, key=lambda r: (int(c[r]), abs(beta[r]))):
+        if fallback is not None and cr != fallback.gcd_c:
+            return fallback
+        cands = np.concatenate([_row_candidates(lat, box, int(alpha[r]), int(beta[r]))
+                                for r in rows], axis=1)
+        ok = cands[6] == 1
+        if ok.any():
+            return _pick(lat, cr, cands[:, ok])
+        if cands.shape[1] and fallback is None:
+            fallback = _pick(lat, cr, cands)
+    if fallback is not None:
+        return fallback
+    raise ParameterSearchError(
+        f"no admissible symplectic parameters for (L, p, b) = "
+        f"({L}, {p}, {b}) in box [-{box}, {box}]")
 
 
 @lru_cache(maxsize=512)
 def sigma_params(lat: CanonicalFinite, box: int | None = None) -> SigmaParams:
     """Search the symplectic parameter bundle for a canonical lattice.
 
-    For b = 0 returns the documented identity bundle.  Otherwise walks the
-    preference-ordered candidates in a box (default [-2L, 2L] for beta,
-    m0, n0, |alpha| = 1) and returns the first whose metaplectic kernel is
-    proportional to a unitary.
+    For b = 0 returns the documented identity bundle.  Otherwise returns
+    the preferred admissible candidate with beta, m0, n0 in the box
+    (default [-2L, 2L]) and |alpha| = 1.
     """
     if lat.b == 0:
         return _identity_params(lat)
-    box = 2 * lat.L if box is None else box
-    for params in _candidates(lat, box):
-        try:
-            metaplectic_matrix(params)
-        except ParameterSearchError:
-            continue
-        return params
-    raise ParameterSearchError(
-        f"no admissible symplectic parameters for (L, p, b) = "
-        f"({lat.L}, {lat.p}, {lat.b}) in box [-{box}, {box}]")
-
-
-def chirp_discrete(f: DiscreteWindow, n0: int, c: int, N: int) -> DiscreteWindow:
-    """Pointwise chirp U f(k) = f(k) e^{pi i (n0/(c N)) k^2} on a sequence."""
-    if c == 0 or N == 0:
-        raise ValueError("c and N must be nonzero")
-    k = np.arange(f.start, f.stop)
-    return DiscreteWindow(f.start, f.values * np.exp(1j * np.pi * n0 * k * k / (c * N)))
-
-
-# -- continuous factorization ------------------------------------------------
-
-@dataclass(frozen=True)
-class ContinuousFactorization:
-    """U = D_{1/d} o F o N_{-b/d} o F^{-1} together with its point map A."""
-
-    a: float
-    b: float
-    d: float
-    factors: tuple = field(default=())
-    matrix: tuple = field(default=())  # ((d, -b), (0, 2a))
-
-    def apply_matrix(self, x, y):
-        (m00, m01), (m10, m11) = self.matrix
-        return (m00 * x + m01 * y, m10 * x + m11 * y)
-
-
-def _vol_is_half(a, b, d) -> bool:
-    if all(isinstance(v, (int, Fraction)) for v in (a, b, d)):
-        return Fraction(a) * Fraction(d) == Fraction(1, 2)
-    return abs(float(a) * float(d) - 0.5) <= 1e-12
-
-
-def continuous_factor(lat: CanonicalReal | tuple) -> ContinuousFactorization:
-    """Factorization data for a canonical volume-1/2 lattice [[a, b], [0, d]].
-
-    Validates A (ma + nb, nd) = (m/2, n) on (m, n) in [-3, 3]^2: exactly
-    for rational entries, to 1e-12 in floating point otherwise.
-    """
-    if isinstance(lat, CanonicalReal):
-        a, b, d = lat.a, lat.b, lat.d
-    else:
-        a, b, d = lat
-    if not _vol_is_half(a, b, d):
-        raise LatticeError("volume must be 1/2")
-    exact = all(isinstance(v, (int, Fraction)) for v in (a, b, d))
-    matrix = ((d, -b), (0 if exact else 0.0, 2 * a))
-    fact = ContinuousFactorization(
-        a=a, b=b, d=d,
-        factors=(("dilate", 1 / Fraction(d) if exact else 1.0 / float(d)),
-                 ("fourier", 1), ("chirp", -(Fraction(b) / Fraction(d)) if exact
-                                  else -float(b) / float(d)), ("fourier", -1)),
-        matrix=matrix)
-    for m in range(-3, 4):
-        for n in range(-3, 4):
-            got = fact.apply_matrix(m * a + n * b, n * d)
-            want = (Fraction(m, 2) if exact else m / 2.0, n)
-            if exact:
-                if (got[0], got[1]) != want:
-                    raise LatticeError("factorization point map failed exactly")
-            else:
-                if abs(float(got[0]) - float(want[0])) > 1e-12 or \
-                   abs(float(got[1]) - float(want[1])) > 1e-12:
-                    raise LatticeError("factorization point map failed numerically")
-    return fact
+    return _search(lat, 2 * lat.L if box is None else box)
 
 
 def _trig_resample(f: np.ndarray, positions: np.ndarray) -> np.ndarray:

@@ -174,12 +174,20 @@ class DiscreteWindow:
         return out
 
 
+def write_samples(fh, rows, leads) -> None:
+    """``lead + "l,re,im"`` CSV lines for every sample of every row, one
+    %-format per row: the bytes of f"{v:.17g}", -0 included."""
+    rows = np.ascontiguousarray(rows, dtype=complex)
+    template = "".join(f"{{0}}{l},%.17g,%.17g\n" for l in range(rows.shape[1]))
+    for lead, row in zip(leads, rows.view(float)):
+        fh.write((template % tuple(row.tolist())).format(lead))
+
+
 def write_window_csv(path, w) -> None:
     w = as_window(w)
     with open(path, "w") as fh:
         fh.write("index,re,im\n")
-        for i, v in enumerate(w):
-            fh.write(f"{i},{v.real:.17g},{v.imag:.17g}\n")
+        write_samples(fh, w[None], [""])
 
 
 def read_window_csv(path) -> np.ndarray:

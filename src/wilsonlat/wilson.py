@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gabor import FrameError, gabor_system, tighten, tightness_deviation
-from .metaplectic import SigmaParams, apply_continuous_U, metaplectic_matrix, sigma_params
+from .metaplectic import SigmaParams, apply_continuous_U, meta_finite, sigma_params
 from .ring import CanonicalFinite, LatticeError, ext_gcd
 from .signal import (DEFAULT_TOL, DiscreteWindow, as_window, centered_dft,
                      real_spectrum, tf_shift)
@@ -257,8 +257,7 @@ def equivalence_report(g, lat: CanonicalFinite, tol: float = DEFAULT_TOL,
     g = as_window(g)
     if sp is None:
         sp = sigma_params(lat)
-    U = metaplectic_matrix(sp)
-    h = U.conj().T @ g
+    h = meta_finite(g, sp, inverse=True)
     try:
         real_spectrum(h)
     except ValueError as exc:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from wilsonlat.cli import main
+from wilsonlat.gabor import tighten
+from wilsonlat.ring import CanonicalFinite
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import read_window_csv, write_window_csv
-from wilsonlat.gabor import tighten
+from wilsonlat.wilson import wilson_finite
 
 
 def run(capsys, *argv):
@@ -228,3 +230,49 @@ def test_gabor_tighten_fourier_twist(tmp_path, capsys):
     _ = capsys.readouterr()
     assert code == 0
     assert len(read_window_csv(out)) == 16
+
+
+@pytest.mark.parametrize("command", [
+    ["wilson", "verify"], ["wilson", "build"], ["gabor", "tighten"], ["zak", "check"]])
+def test_window_length_mismatch_exit2(tmp_path, capsys, command):
+    win = tmp_path / "short.csv"
+    write_window_csv(win, np.ones(8))
+    extra = ["--out", str(tmp_path / "out.csv")] if command[-1] in ("build", "tighten") else []
+    code, out, err = run(capsys, *command, "--lattice", "16,2,0", "--window", str(win), *extra)
+    assert code == 2
+    assert out == ""
+    assert "short.csv" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [["--L", "0"], ["--L", "7"], ["--L", "36"], ["--L", "-64"],
+                                  ["--nu", "-1"], ["--nu", "0"], ["--nu", "nan"]])
+def test_demo_hex_bad_arguments_exit2(capsys, args):
+    code, out, err = run(capsys, "demo-hex", *args)
+    assert code == 2
+    assert out == ""
+    assert args[0] in err and len(err.strip().splitlines()) == 1
+
+
+def old_sample_lines(rows, leads):
+    """The per-sample f-string writer the block writer replaced."""
+    return "".join(f"{lead}{l},{v.real:.17g},{v.imag:.17g}\n"
+                   for lead, row in zip(leads, rows) for l, v in enumerate(row))
+
+
+def test_wilson_build_bytes_match_per_sample_writer(tmp_path, capsys):
+    rng = SplitMix64(62)
+    lat = CanonicalFinite(24, 2, 0)
+    g = tighten(rng.real_dft_window(lat.L), lat)
+    g[3] = complex(-0.0, 0.0)
+    g[5] = complex(1e-300, -0.0)
+    win = tmp_path / "g.csv"
+    out = tmp_path / "basis.csv"
+    write_window_csv(win, g)
+    code, _, _ = run(capsys, "wilson", "build", "--lattice", "24,2,0",
+                     "--window", str(win), "--out", str(out))
+    assert code == 0
+    sys_ = wilson_finite(read_window_csv(win), lat)
+    want = "m,n,index,re,im\n" + old_sample_lines(
+        sys_.basis, [f"{m},{n}," for m, n in sys_.index_set])
+    assert out.read_bytes() == want.encode()
+    assert b"-0," in out.read_bytes()

@@ -1,11 +1,20 @@
+import csv
+import time
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import wilsonlat
+from oracles import candidates, chirp_discrete, continuous_factor, dense_metaplectic
+from wilsonlat import cli, metaplectic, wilson
+from wilsonlat.gabor import tighten
 from wilsonlat.metaplectic import (ParameterSearchError, SigmaParams,
-                                   apply_continuous_U, chirp_discrete,
-                                   continuous_factor, intertwining_phase,
+                                   apply_continuous_U, intertwining_phase,
                                    meta_finite, metaplectic_matrix, sigma_params)
 from wilsonlat.ring import CanonicalFinite, CanonicalReal, LatticeError
 from wilsonlat.rng import SplitMix64
@@ -257,10 +266,129 @@ def test_centered_dft_matches_direct():
     assert np.max(np.abs(centered_dft(centered_dft(f), inverse=True) - f)) < 1e-12
 
 
-def test_kernel_cache_is_bounded():
-    # each lattice is new to the cache: sigma_params is cached separately,
-    # so the kernels are requested directly
-    for b in range(1, 11):
-        metaplectic_matrix(sigma_params(CanonicalFinite(40, 1, b)))
-    info = metaplectic_matrix.cache_info()
-    assert info.currsize <= info.maxsize <= 4
+PINNED = Path(__file__).with_name("sigma_pinned.csv")
+
+
+def pinned_rows():
+    with open(PINNED) as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
+def sheared_lattices(max_L):
+    return [CanonicalFinite(L, p, b) for L in range(2, max_L + 1, 2)
+            for p in range(1, L // 2 + 1) if (L // 2) % p == 0
+            for b in range(1, L // (2 * p))]
+
+
+def dense_admissible(sp):
+    try:
+        dense_metaplectic(sp)
+    except ParameterSearchError:
+        return False
+    return True
+
+
+def assert_matches_dense(sp, seed):
+    """Factored U, U^H and the materialized matrix against the kernel sum."""
+    want = dense_metaplectic(sp)
+    assert np.max(np.abs(metaplectic_matrix(sp) - want)) < 1e-12
+    f = SplitMix64(seed).complex_vector(sp.L)
+    assert np.max(np.abs(meta_finite(f, sp) - want @ f)) < 1e-12
+    assert np.max(np.abs(meta_finite(f, sp, inverse=True) - want.conj().T @ f)) < 1e-12
+
+
+class TestClosedFormSearch:
+    def test_reproduces_pinned_choices(self):
+        rows = pinned_rows()
+        assert len(rows) == 407 + 33
+        assert len(sheared_lattices(48)) == 407
+        for row in rows:
+            lat = CanonicalFinite(int(row["L"]), int(row["p"]), int(row["b"]))
+            got = sigma_params(lat).to_json()
+            assert {k: str(int(got[k])) for k in row} == row
+
+    def test_rule_matches_dense_test(self):
+        # the first 40 candidates of the literal box search, every sheared L <= 48
+        checked = rejected = 0
+        for lat in sheared_lattices(48):
+            for sp in candidates(lat, 2 * lat.L)[:40]:
+                ok = dense_admissible(sp)
+                assert bool(metaplectic._admissible(sp.beta, sp.L)) == ok, sp
+                if not ok:
+                    rejected += 1
+                    with pytest.raises(ParameterSearchError):
+                        meta_finite(np.ones(sp.L), sp)
+                checked += 1
+        assert checked == 407 * 40 and rejected > 0
+
+    def test_factored_matches_dense_kernel(self):
+        for i, row in enumerate(pinned_rows()):
+            if int(row["L"]) <= 48:
+                lat = CanonicalFinite(int(row["L"]), int(row["p"]), int(row["b"]))
+                assert_matches_dense(sigma_params(lat), i)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_rule_and_factored_generated(self, data):
+        half = data.draw(st.integers(2, 32), label="L/2")
+        p = data.draw(st.sampled_from([d for d in range(1, half) if half % d == 0]), label="p")
+        b = data.draw(st.integers(1, half // p - 1), label="b")
+        lat = CanonicalFinite(2 * half, p, b)
+        cands = candidates(lat, 2 * lat.L)[:40]
+        sp = cands[data.draw(st.integers(0, len(cands) - 1), label="candidate")]
+        ok = dense_admissible(sp)
+        assert bool(metaplectic._admissible(sp.beta, sp.L)) == ok
+        if ok:
+            assert_matches_dense(sp, data.draw(st.integers(0, 2**32), label="seed"))
+
+    def test_box_zero_and_small_boxes(self):
+        # the box bounds beta, m0 and n0 exactly as in the literal search
+        outcomes = set()
+        for lat in sheared_lattices(16) + [CanonicalFinite(24, 2, 5), CanonicalFinite(30, 1, 4)]:
+            for box in range(-1, 6):
+                want = next((sp for sp in candidates(lat, box) if dense_admissible(sp)), None)
+                if want is None:
+                    with pytest.raises(ParameterSearchError, match="box"):
+                        sigma_params(lat, box=box)
+                else:
+                    assert sigma_params(lat, box=box) == want
+                outcomes.add(None if want is None else (want.aligned, want.sign_adjusted))
+        # every branch is reached: no candidate, aligned or not, sign-adjusted or not
+        assert outcomes >= {None, (True, False), (False, False), (False, True)}
+
+
+def test_transport_never_calls_dense_oracle(monkeypatch):
+    """Production transport applies U through chirps and FFTs only."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense metaplectic oracle called")
+
+    for module in (wilsonlat, metaplectic, wilson, cli):
+        if hasattr(module, "metaplectic_matrix"):
+            monkeypatch.setattr(module, "metaplectic_matrix", refuse)
+    f = SplitMix64(45).complex_vector(4096)
+    for lat in (CanonicalFinite(4096, 1, 37), CanonicalFinite(4096, 2, 6)):
+        sp = sigma_params(lat)
+        back = meta_finite(meta_finite(f, sp), sp, inverse=True)
+        assert np.max(np.abs(back - f)) < 1e-12
+    # equivalence_report still builds the dense 2L x L verdict systems, so
+    # it runs at L = 512
+    lat = CanonicalFinite(512, 1, 37)
+    g = tighten(meta_finite(SplitMix64(46).real_dft_window(512), sigma_params(lat)), lat)
+    assert all(wilson.equivalence_report(g, lat).verdicts())
+
+
+def test_transport_is_small_and_fast():
+    """Cold search plus U and U^H at L = 4096: no L x L array, well under 1 s."""
+    lat = CanonicalFinite(4096, 1, 37)
+    f = SplitMix64(47).complex_vector(lat.L)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        sp = sigma_params.__wrapped__(lat)  # bypass the cache: a cold search
+        meta_finite(meta_finite(f, sp), sp, inverse=True)
+        wall = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * lat.L ** 2 / 32  # a thirty-second of one L x L complex array
+    assert wall < 1.0

@@ -171,3 +171,15 @@ def test_window_csv_malformed_rows_name_the_line(tmp_path, rows, line, what):
     with pytest.raises(ValueError, match=what) as info:
         read_window_csv(path)
     assert f"w.csv:{line}:" in str(info.value)
+
+
+def test_window_csv_bytes_match_per_sample_writer(tmp_path):
+    w = SplitMix64(16).complex_vector(40) * 10.0 ** np.arange(-20, 20)
+    w[:6] = [-0.0, complex(0.0, -0.0), complex(-0.0, -0.0), np.inf, complex(np.nan, 1.0), 5e-324]
+    path = tmp_path / "w.csv"
+    write_window_csv(path, w)
+    want = "index,re,im\n" + "".join(f"{i},{v.real:.17g},{v.imag:.17g}\n"
+                                     for i, v in enumerate(w))
+    assert path.read_bytes() == want.encode()
+    assert path.read_text().splitlines()[1] == "0,-0,0"
+
