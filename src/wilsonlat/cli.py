@@ -95,7 +95,7 @@ def cmd_gabor(args, t0: float) -> int:
     g = read_window(args.window, lat)
     gt = gabor.tighten(g, lat, fourier_twist=args.fourier_twist)
     write_window_csv(args.out, gt)
-    dev = gabor.tightness_deviation(gabor.gabor_system(gt, lat), 2.0)
+    dev = gabor.spectral_deviation(gt, lat)
     emit({"command": "gabor tighten", "lattice": lat.to_json(),
           "tight_deviation": dev, "out": args.out}, t0)
     return EXIT_OK

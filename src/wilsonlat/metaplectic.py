@@ -162,9 +162,11 @@ def _shears(f: np.ndarray, sp: SigmaParams, inverse: bool) -> np.ndarray:
     return f if inner is None else np.fft.ifft(np.fft.fft(f) * inner)
 
 
+@lru_cache(maxsize=512)
 def _unit_constant(sp: SigmaParams) -> complex:
     """c with U = c W from the first kernel row r(beta l) += chi_{beta delta}(l),
-    which must be parallel to the first row of W (else: not unitary)."""
+    which must be parallel to the first row of W (else: not unitary).
+    Cached per bundle, as :func:`sigma_params` is per lattice."""
     L = sp.L
     w = _chirp(sp.beta * sp.delta, L)
     cols = sp.beta * np.arange(L) % L

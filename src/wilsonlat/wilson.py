@@ -15,7 +15,22 @@ with c1 = 1, c2 = 0: at those rows the +/- pair is self-paired, the odd
 combination vanishes identically, and only the even-parity atoms survive.
 (For n = L/(2p) odd this staggers the row by one time step relative to
 n = 0; with L/(2p) even it takes every other atom starting at m = 0.)
-The finite basis is one gather of time-frequency shifts through phi.
+The finite basis is one gather of time-frequency shifts through phi,
+made only when ``WilsonSystem.basis`` is read.
+
+Gram deviation without the basis.  Element i is c_0^i pi(lambda_0^i) g +
+c_1^i pi(lambda_1^i) g, so by the ambiguity identity of
+:mod:`wilsonlat.gabor` every Gram entry is at most four lattice values of V:
+
+    G_ij = sum_{s,t} c_s^i conj(c_t^j) e^{2 pi i x_t^j (y_s^i - y_t^j) / L}
+           V(lambda_s^i - lambda_t^j),   lambda = (x, y).
+
+``gram_deviation`` reduces every atom to table coordinates (k mod 2p,
+l mod L/p), reads V(lambda_s - lambda_t) from a (4p, 2L/p) table of
+differences through one index subtraction, and scans max|G - I| over
+row blocks on and right of the diagonal (G is Hermitian) whose four terms
+hold at most ``SCAN_BLOCK`` entries: O(L^2) time and O(L) memory, no
+L x L array.  ``gram`` is the dense oracle.
 
 Sequence setting.  The same rule for a lattice (N/2, b, 1/N) in Z x T,
 with m unbounded; elements are finitely supported sequences.
@@ -29,10 +44,11 @@ formulations side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .gabor import FrameError, gabor_system, tighten, tightness_deviation
+from .gabor import SCAN_BLOCK, FrameError, ambiguity_table, spectral_deviation, tighten
 from .metaplectic import SigmaParams, apply_continuous_U, meta_finite, sigma_params
 from .ring import CanonicalFinite, LatticeError, ext_gcd
 from .signal import (DEFAULT_TOL, DiscreteWindow, as_window, centered_dft,
@@ -95,10 +111,18 @@ def phi_inverse(k: int, l: int, pp: PhiParams) -> tuple[int, int]:
     return (pp.k2 * k + pp.k1 * l, -pp.n0 * k + pp.m0 * l)
 
 
+def _index_arrays(L: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """m and n of the L Wilson indices in (n, m)-lex order: rows n = 0 and
+    n = L/(2p) hold p indices, the others 2p, so index i has n = (i + p) // 2p."""
+    i = np.arange(L)
+    n = (i + p) // (2 * p)
+    return i - np.maximum(2 * n - 1, 0) * p, n
+
+
 def wilson_index_set(L: int, p: int) -> list[tuple[int, int]]:
     """Index pairs (m, n) in lexicographic (n, m) order; always L of them."""
-    top = L // (2 * p)
-    return [(m, n) for n in range(top + 1) for m in range(p if n in (0, top) else 2 * p)]
+    m, n = _index_arrays(L, p)
+    return list(zip(m.tolist(), n.tolist()))
 
 
 def wilson_pair(m, n, top: int | None) -> tuple:
@@ -117,10 +141,36 @@ def wilson_pair(m, n, top: int | None) -> tuple:
 
 @dataclass(frozen=True)
 class WilsonSystem:
-    basis: np.ndarray = field(repr=False)  # rows = elements, (n, m)-lex order
-    index_set: tuple
+    """Wilson system of ``window`` over ``lattice`` through the index map ``phi``.
+
+    ``basis`` (rows = elements, (n, m)-lex order) is gathered on first
+    read; :func:`gram_deviation` works from :meth:`atoms` and never reads it.
+    """
+
     window: np.ndarray = field(repr=False)
     lattice: CanonicalFinite
+    phi: PhiParams
+
+    @cached_property
+    def index_set(self) -> tuple:
+        return tuple(wilson_index_set(self.lattice.L, self.lattice.p))
+
+    def atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Lattice coordinates k, l and coefficients c, each of shape (2, L):
+        element i is sum_s c[s, i] tf_shift(g, k[s, i] a + l[s, i] b, l[s, i] p)."""
+        m, n = _index_arrays(self.lattice.L, self.lattice.p)
+        m1, c1, c2 = wilson_pair(m, n, self.lattice.time_step)
+        (k1, l1), (k2, l2) = phi_map(m1, n, self.phi), phi_map(m, -n, self.phi)
+        return np.array([k1, k2]), np.array([l1, l2]), np.array([c1, c2])
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        a, b, p = self.lattice.time_step, self.lattice.b, self.lattice.p
+        k, l, c = self.atoms()
+        basis = tf_shift(self.window, k[0] * a + l[0] * b, l[0] * p)
+        basis *= c[0][:, None]
+        basis += c[1][:, None] * tf_shift(self.window, k[1] * a + l[1] * b, l[1] * p)
+        return basis
 
     def element(self, m: int, n: int) -> np.ndarray:
         p, top = self.lattice.p, self.lattice.time_step
@@ -129,38 +179,74 @@ class WilsonSystem:
         return self.basis[m + max(2 * n - 1, 0) * p]
 
 
+def _check_params(sp: SigmaParams, lat: CanonicalFinite) -> None:
+    if (sp.L, sp.p, sp.b) != (lat.L, lat.p, lat.b):
+        raise LatticeError(f"symplectic parameters of ({sp.L}, {sp.p}, {sp.b}) "
+                           f"given for {lat}")
+
+
 def wilson_finite(g, lat: CanonicalFinite, sp: SigmaParams | None = None) -> WilsonSystem:
     """Wilson system of a window over a canonical finite lattice.
 
     ``sp`` overrides the symplectic parameters used for the index map
-    (ignored for b = 0, where the map is the identity); by default they
-    are searched once per lattice.
+    (ignored for b = 0, where the map is the identity) and must belong to
+    ``lat``; by default they are searched once per lattice.
     """
     g = as_window(g)
     if len(g) != lat.L:
         raise FrameError(f"window length {len(g)} != lattice L {lat.L}")
-    L, p, b, a = lat.L, lat.p, lat.b, lat.time_step
-    pp = PhiParams(0) if b == 0 else phi_params_finite(sp or sigma_params(lat))
-    idx = wilson_index_set(L, p)
-    m, n = np.array(idx).T
-    m1, c1, c2 = wilson_pair(m, n, a)
-    k, l = phi_map(m1, n, pp)
-    basis = tf_shift(g, k * a + l * b, l * p)
-    basis *= c1[:, None]
-    k, l = phi_map(m, -n, pp)
-    basis += c2[:, None] * tf_shift(g, k * a + l * b, l * p)
-    return WilsonSystem(basis, tuple(idx), g, lat)
+    if sp is not None:
+        _check_params(sp, lat)
+    pp = PhiParams(0) if lat.b == 0 else phi_params_finite(sp or sigma_params(lat))
+    return WilsonSystem(g, lat, pp)
 
 
 def gram(sys_or_basis) -> np.ndarray:
-    """Gram matrix under the normalized C^L inner product."""
+    """Gram matrix under the normalized C^L inner product (dense oracle)."""
     B = sys_or_basis.basis if isinstance(sys_or_basis, WilsonSystem) else np.asarray(sys_or_basis)
     return B @ B.conj().T / B.shape[1]
 
 
-def gram_deviation(sys_or_basis) -> float:
-    G = gram(sys_or_basis)
-    return float(np.max(np.abs(G - np.eye(len(G)))))
+def gram_deviation(sys: WilsonSystem) -> float:
+    """max|G - I| of the Wilson Gram, scanned from the lattice ambiguity table.
+
+    G_ij = sum_{s,t} c_s^i conj(c_t^j) e^{2 pi i x_t^j (y_s^i - y_t^j) / L}
+    V(lambda_s^i - lambda_t^j) (module docstring); G is Hermitian, so only
+    the blocks on and right of the diagonal are formed.
+    """
+    lat = sys.lattice
+    L, p, b, a = lat.L, lat.p, lat.b, lat.time_step
+    rows = L // p
+    # V on differences (dk, dl) in (-2p, 2p) x (-L/p, L/p), flat index
+    # (dk + 2p) 2L/p + dl + L/p = row - col; a negative dl wraps as (dk - 2b, dl + L/p)
+    dk = np.arange(-2 * p, 2 * p)[:, None]
+    dl = np.arange(-rows, rows)
+    V = ambiguity_table(sys.window, lat)[(dk - 2 * b * (dl < 0)) % (2 * p), dl % rows].ravel()
+    # atoms reduced to the table's lattice coordinates K < 2p, l < L/p
+    k, l, c = sys.atoms()
+    K = (k + 2 * b * (l // rows)) % (2 * p)
+    l = l % rows
+    col = K * 2 * rows + l
+    row = col + 4 * p * rows + rows
+    x = (K * a + l * b) % L
+    y = l * p
+    unit = np.exp(2j * np.pi * np.arange(L) / L)
+    cc = c.conj() * unit[-x * y % L]
+    # the four terms (s, t) of a block at once: s on axis 0, t on axis 1
+    row, y, c = row[:, None, :, None], y[:, None, :, None], c[:, :, None]
+    col, x, cc = col[:, None, :], x[:, None, :], cc[:, None, :]
+    worst = 0.0
+    i0 = 0
+    while i0 < L:
+        i1 = min(L, i0 + max(1, SCAN_BLOCK // (4 * (L - i0))))
+        terms = V[row[:, :, i0:i1] - col[:, :, i0:]]
+        terms *= unit[x[:, :, i0:] * y[:, :, i0:i1] % L]
+        terms *= cc[:, :, i0:]
+        G = (c[:, i0:i1] * terms.sum(axis=1)).sum(axis=0)
+        G[np.arange(i1 - i0), np.arange(i1 - i0)] -= 1.0
+        worst = np.maximum(worst, np.max(np.abs(G)))
+        i0 = i1
+    return float(worst)
 
 
 # -- sequence setting ---------------------------------------------------------
@@ -223,6 +309,12 @@ class EquivalenceReport:
     rectangular_tight: the transported window is tight over (L, q, 0)
     rectangular_onb  : the rectangular Wilson system is an orthonormal basis
     sheared_onb      : the Wilson system over (L, p, b) is an orthonormal basis
+
+    Each verdict is its deviation <= tol.  The two tightness deviations are
+    ||S - 2I||_2 = max|d - 2| over the frame symbol d, i.e. the distance of
+    the frame bounds (A, B) from 2; this is never below the entrywise
+    max|S - 2I|.  The two basis deviations are the entrywise max|G - I| of
+    the Wilson Gram (:func:`gram_deviation`).
     """
 
     sheared_tight: bool
@@ -257,14 +349,15 @@ def equivalence_report(g, lat: CanonicalFinite, tol: float = DEFAULT_TOL,
     g = as_window(g)
     if sp is None:
         sp = sigma_params(lat)
+    _check_params(sp, lat)
     h = meta_finite(g, sp, inverse=True)
     try:
         real_spectrum(h)
     except ValueError as exc:
         raise FrameError(f"transported {exc}") from exc
     rect = CanonicalFinite(lat.L, sp.q, 0)
-    dev_i = tightness_deviation(gabor_system(g, lat), 2.0)
-    dev_ii = tightness_deviation(gabor_system(h, rect), 2.0)
+    dev_i = spectral_deviation(g, lat)
+    dev_ii = spectral_deviation(h, rect)
     dev_iii = gram_deviation(wilson_finite(h, rect))
     dev_iv = gram_deviation(wilson_finite(g, lat, sp))
     devs = {"sheared_tight": dev_i, "rectangular_tight": dev_ii,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -55,43 +54,30 @@ def candidates(lat: CanonicalFinite, box: int):
     """
     L, p, b = lat.L, lat.p, lat.b
     u = lat.time_step
-    out = []
-    for alpha in (1, -1):
-        for beta in range(-box, box + 1):
-            v = alpha * b + beta * p
-            if v == 0:
-                continue
-            c = gcd(u, abs(v))
-            for n0 in range(-box, box + 1):
-                if n0 == 0:
-                    continue
-                num = c - v * n0
-                if num % (alpha * u):
-                    continue
-                m0 = num // (alpha * u)
-                if abs(m0) > box:
-                    continue
-                x0 = u * m0 + b * n0
-                if x0 == 0:
-                    continue
-                y0 = p * n0
-                s = gcd(abs(x0), abs(y0))
-                if s != c:
-                    continue
-                sign_ok = (x0 * y0 < 0) and ((alpha * u) * v > 0)
-                key = (0 if c == u else 1, -c, not sign_ok,
-                       abs(beta), abs(m0), abs(n0), alpha != 1, beta, m0, n0)
-                t = -(x0 * y0) // s
-                params = SigmaParams(alpha=alpha, beta=beta,
-                                     gamma=-y0 // s, delta=x0 // s,
-                                     m0=m0, n0=n0, gcd_c=c,
-                                     lcm_d=(alpha * u) * v // c, s=s, t=t,
-                                     L=L, p=p, b=b,
-                                     aligned=(c == u), sign_adjusted=not sign_ok)
-                out.append((key, params))
-    out.sort(key=lambda kp: kp[0])
-    return [params for _, params in out]
-
+    # every (alpha, beta, n0) of the box, filtered literally (no Bezout
+    # progression): rows are (alpha, beta), columns n0
+    box_range = np.arange(-box, box + 1)
+    alpha, beta, n0 = np.broadcast_arrays(np.repeat([1, -1], len(box_range))[:, None],
+                                          np.tile(box_range, 2)[:, None], box_range)
+    v = alpha * b + beta * p
+    c = np.gcd(u, v)
+    num = c - v * n0
+    ok = (v != 0) & (n0 != 0) & (num % (alpha * u) == 0)
+    m0 = num // (alpha * u)
+    x0 = u * m0 + b * n0
+    y0 = p * n0
+    ok &= (np.abs(m0) <= box) & (x0 != 0)
+    ok[ok] = np.gcd(x0[ok], y0[ok]) == c[ok]
+    alpha, beta, v, c, m0, n0, x0, y0 = (w[ok] for w in (alpha, beta, v, c, m0, n0, x0, y0))
+    sign_ok = (x0 * y0 < 0) & (alpha * u * v > 0)
+    order = np.lexsort((n0, m0, beta, alpha != 1, np.abs(n0), np.abs(m0), np.abs(beta),
+                        ~sign_ok, -c, c != u))
+    cols = (w[order].tolist() for w in (alpha, beta, v, c, m0, n0, x0, y0, sign_ok))
+    return [SigmaParams(alpha=alpha, beta=beta, gamma=-y0 // c, delta=x0 // c,
+                        m0=m0, n0=n0, gcd_c=c, lcm_d=alpha * u * v // c,
+                        s=c, t=-(x0 * y0) // c, L=L, p=p, b=b,
+                        aligned=(c == u), sign_adjusted=not sign_ok)
+            for alpha, beta, v, c, m0, n0, x0, y0, sign_ok in zip(*cols)]
 
 
 def chirp_discrete(f: DiscreteWindow, n0: int, c: int, N: int) -> DiscreteWindow:

@@ -370,8 +370,6 @@ def test_transport_never_calls_dense_oracle(monkeypatch):
         sp = sigma_params(lat)
         back = meta_finite(meta_finite(f, sp), sp, inverse=True)
         assert np.max(np.abs(back - f)) < 1e-12
-    # equivalence_report still builds the dense 2L x L verdict systems, so
-    # it runs at L = 512
     lat = CanonicalFinite(512, 1, 37)
     g = tighten(meta_finite(SplitMix64(46).real_dft_window(512), sigma_params(lat)), lat)
     assert all(wilson.equivalence_report(g, lat).verdicts())
@@ -392,3 +390,26 @@ def test_transport_is_small_and_fast():
         tracemalloc.stop()
     assert peak < 16 * lat.L ** 2 / 32  # a thirty-second of one L x L complex array
     assert wall < 1.0
+
+
+def test_unit_constant_cache_is_bounded():
+    """meta_finite reads c from a per-bundle cache that never outgrows its size."""
+    cache = metaplectic._unit_constant
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None
+    lat = CanonicalFinite(4096, 1, 37)
+    f = SplitMix64(48).complex_vector(lat.L)
+    meta_finite(f, sigma_params(lat))
+    hits = cache.cache_info().hits
+    meta_finite(f, sigma_params(lat), inverse=True)
+    assert cache.cache_info().hits == hits + 1
+    bundles = 0
+    for small in sheared_lattices(24):
+        for sp in candidates(small, 2 * small.L):
+            if metaplectic._admissible(sp.beta, sp.L):
+                meta_finite(np.ones(sp.L), sp)
+                bundles += 1
+        if bundles > maxsize:
+            break
+    assert bundles > maxsize
+    assert cache.cache_info().currsize <= maxsize
