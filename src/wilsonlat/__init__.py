@@ -5,9 +5,8 @@ basis construction in C^L, for finitely supported sequences on Z, and in
 a sampled continuous demonstration pipeline.
 """
 
-from .gabor import (FrameError, GaborSystem, ambiguity_table, frame_bounds,
-                    frame_operator, gabor_system, is_tight, spectral_deviation,
-                    symmetrize, tighten, tightness_deviation)
+from .gabor import (FrameError, GaborSystem, frame_bounds, frame_operator,
+                    gabor_system, is_tight, symmetrize, tighten, tightness_deviation)
 from .metaplectic import (ParameterSearchError, SigmaParams, apply_continuous_U,
                           intertwining_phase, meta_finite, metaplectic_matrix,
                           sigma_params)

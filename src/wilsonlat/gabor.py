@@ -39,7 +39,9 @@ from .signal import (COND_FLOOR, DEFAULT_TOL, FrameError, as_window, tf_shift,
                      unitary_dft)
 from .zak import frame_symbol
 
-SCAN_BLOCK = 1 << 14  # complex entries per temporary of a table build or Gram scan
+# complex entries per temporary of a table build or Gram scan; a block is
+# never narrower than one row, so a temporary holds max(SCAN_BLOCK, 4L) at most
+SCAN_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -91,10 +93,10 @@ def frame_bounds(g, lat: CanonicalFinite) -> tuple[float, float]:
     return float(d.min()), float(d.max())
 
 
-def spectral_deviation(g, lat: CanonicalFinite, bound: float = 2.0) -> float:
-    """||S - bound I||_2 = max|d - bound| from the frame bounds."""
+def spectral_deviation(g, lat: CanonicalFinite) -> float:
+    """||S - 2I||_2 = max|d - 2| from the frame bounds (redundancy-2 bound)."""
     A, B = frame_bounds(g, lat)
-    return max(B - bound, bound - A)
+    return max(B - 2.0, 2.0 - A)
 
 
 def ambiguity_table(g, lat: CanonicalFinite) -> np.ndarray:

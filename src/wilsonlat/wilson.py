@@ -29,8 +29,8 @@ c_1^i pi(lambda_1^i) g, so by the ambiguity identity of
 l mod L/p), reads V(lambda_s - lambda_t) from a (4p, 2L/p) table of
 differences through one index subtraction, and scans max|G - I| over
 row blocks on and right of the diagonal (G is Hermitian) whose four terms
-hold at most ``SCAN_BLOCK`` entries: O(L^2) time and O(L) memory, no
-L x L array.  ``gram`` is the dense oracle.
+hold about ``SCAN_BLOCK`` entries, and at most max(SCAN_BLOCK, 4L) when one
+row is wider: O(L^2) time and O(L) memory, no L x L array.  ``gram`` is the dense oracle.
 
 Sequence setting.  The same rule for a lattice (N/2, b, 1/N) in Z x T,
 with m unbounded; elements are finitely supported sequences.
