@@ -20,8 +20,8 @@ from .wilson import (EquivalenceReport, PhiParams, WilsonSequenceFamily,
                      gram_discrete, periodized_gram, phi_inverse, phi_map,
                      phi_params_discrete, phi_params_finite, wilson_continuous_demo,
                      wilson_discrete, wilson_finite, wilson_index_set, wilson_pair)
-from .zak import (FrameSymbol, ZakTable, cond_correlation, cond_correlation_discrete,
-                  cond_quadrature, correlation_sums_discrete, frame_symbol, zak_finite)
+from .zak import (FrameSymbol, cond_correlation, cond_correlation_discrete,
+                  cond_quadrature, correlation_sums_discrete, frame_symbol)
 
 __version__ = "0.1.0"
 

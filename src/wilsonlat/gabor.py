@@ -15,17 +15,8 @@ eigenvalues of S, read from the frame symbol d of :mod:`wilsonlat.zak` in
 O(L log L), and the tightness deviation is max|d - 2| = ||S - 2I||_2,
 never below the entrywise max|S - 2I| of the dense oracle
 ``tightness_deviation``.  Inner products of atoms come from the lattice
-ambiguity function: with pi(x, y) g = tf_shift(g, x, y) and G = fft(g),
-
-    <pi(x1, y1) g, pi(x2, y2) g> = e^{2 pi i x2 (y1 - y2) / L} V(x1 - x2, y1 - y2),
-    V(x, y) = <pi(x, y) g, g> = L^-2 sum_w G(w) conj G(w + y) e^{-2 pi i x w / L},
-
-and Lambda - Lambda = Lambda, so the 2L values of V on the lattice hold
-the whole 2L x 2L Gabor Gram.  On row l (x = k a + l b, y = l p) the
-factor e^{-2 pi i k a w / L} depends on w mod 2p only: fold the product
-over w mod 2p, then one length-2p FFT gives the row, O(L^2 / p) for the
-table.  ``gabor_system``, ``frame_operator`` and ``tightness_deviation``
-are the dense oracles.
+ambiguity table of :mod:`wilsonlat.zak`.  ``gabor_system``,
+``frame_operator`` and ``tightness_deviation`` are the dense oracles.
 """
 
 from __future__ import annotations
@@ -38,10 +29,6 @@ from .ring import CanonicalFinite
 from .signal import (COND_FLOOR, DEFAULT_TOL, FrameError, as_window, tf_shift,
                      unitary_dft)
 from .zak import frame_symbol
-
-# complex entries per temporary of a table build or Gram scan; a block is
-# never narrower than one row, so a temporary holds max(SCAN_BLOCK, 4L) at most
-SCAN_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -60,9 +47,7 @@ class GaborSystem:
 
 
 def gabor_system(g, lat: CanonicalFinite) -> GaborSystem:
-    g = as_window(g)
-    if len(g) != lat.L:
-        raise FrameError(f"window length {len(g)} != lattice L {lat.L}")
+    g = as_window(g, lat.L)
     L, p, b = lat.L, lat.p, lat.b
     # rows indexed by (m, n) lexicographically
     ms, ns = np.divmod(np.arange(2 * L), L // p)
@@ -97,31 +82,6 @@ def spectral_deviation(g, lat: CanonicalFinite) -> float:
     """||S - 2I||_2 = max|d - 2| from the frame bounds (redundancy-2 bound)."""
     A, B = frame_bounds(g, lat)
     return max(B - 2.0, 2.0 - A)
-
-
-def ambiguity_table(g, lat: CanonicalFinite) -> np.ndarray:
-    """V[k, l] = <pi(k a + l b, l p) g, g> on the 2L lattice points, shape
-    (2p, L/p); (k, l + L/p) is the lattice point (k + 2b, l)."""
-    g = as_window(g)
-    L, p, b = lat.L, lat.p, lat.b
-    if len(g) != L:
-        raise FrameError(f"window length {len(g)} != lattice L {L}")
-    a, rows = lat.time_step, L // p
-    G = np.fft.fft(g)
-    Gc = np.concatenate([G, G]).conj()
-    w = np.arange(L)
-    unit = np.exp(-2j * np.pi * w / L)
-    V = np.empty((rows, 2 * p), dtype=complex)
-    step = max(1, SCAN_BLOCK // L)
-    for l0 in range(0, rows, step):
-        l = np.arange(l0, min(l0 + step, rows))[:, None]
-        prod = (G * Gc[l * p + w]).reshape(len(l), a, 2 * p)  # G(w) conj G(w + l p)
-        # e^{-2 pi i l b w / L} at w = 2p j + r: the j factor goes into the
-        # fold over j, the r factor after it
-        fold = np.matmul(unit[l * b % L * (2 * p * np.arange(a)) % L][:, None], prod)[:, 0]
-        fold *= unit[l * b % L * np.arange(2 * p) % L]
-        V[l0:l0 + len(l)] = np.fft.fft(fold, axis=1)
-    return V.T / L**2
 
 
 def tighten(g, lat: CanonicalFinite, fourier_twist: bool = False) -> np.ndarray:

@@ -179,9 +179,7 @@ def _unit_constant(sp: SigmaParams) -> complex:
 
 def meta_finite(f, sp: SigmaParams, inverse: bool = False) -> np.ndarray:
     """U f (or U^H f) through two chirps and one FFT pair, O(L log L)."""
-    f = as_window(f)
-    if len(f) != sp.L:
-        raise ValueError("window length does not match the lattice")
+    f = as_window(f, sp.L)
     c = _unit_constant(sp)
     return (c.conjugate() if inverse else c) * _shears(f, sp, inverse)
 

@@ -51,6 +51,4 @@ class SplitMix64:
         transforming back; the inverse transform of a real spectrum is
         exactly the class of windows the tightness criteria apply to.
         """
-        spectrum = self.reals(L)
-        l = np.arange(L)
-        return (spectrum[None, :] * np.exp(2j * np.pi * np.outer(l, np.arange(L)) / L)).sum(axis=1)
+        return np.fft.ifft(self.reals(L)) * L

@@ -31,10 +31,13 @@ class FrameError(ValueError):
     """The window does not generate a usable frame."""
 
 
-def as_window(values) -> np.ndarray:
+def as_window(values, L: int | None = None) -> np.ndarray:
+    """values as a complex vector; FrameError unless it has length L (if given)."""
     w = np.asarray(values, dtype=complex)
     if w.ndim != 1 or len(w) < 1:
         raise ValueError("window must be a nonempty 1-d vector")
+    if L is not None and len(w) != L:
+        raise FrameError(f"window length {len(w)} != lattice L {L}")
     return w
 
 

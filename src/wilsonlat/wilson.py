@@ -20,7 +20,7 @@ made only when ``WilsonSystem.basis`` is read.
 
 Gram deviation without the basis.  Element i is c_0^i pi(lambda_0^i) g +
 c_1^i pi(lambda_1^i) g, so by the ambiguity identity of
-:mod:`wilsonlat.gabor` every Gram entry is at most four lattice values of V:
+:mod:`wilsonlat.zak` every Gram entry is at most four lattice values of V:
 
     G_ij = sum_{s,t} c_s^i conj(c_t^j) e^{2 pi i x_t^j (y_s^i - y_t^j) / L}
            V(lambda_s^i - lambda_t^j),   lambda = (x, y).
@@ -48,11 +48,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .gabor import SCAN_BLOCK, FrameError, ambiguity_table, spectral_deviation, tighten
+from .gabor import FrameError, spectral_deviation, tighten
 from .metaplectic import SigmaParams, apply_continuous_U, meta_finite, sigma_params
 from .ring import CanonicalFinite, LatticeError, ext_gcd
 from .signal import (DEFAULT_TOL, DiscreteWindow, as_window, centered_dft,
                      real_spectrum, tf_shift)
+from .zak import ambiguity_table
+
+# complex entries per temporary of the Gram scan (module docstring)
+SCAN_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -192,9 +196,7 @@ def wilson_finite(g, lat: CanonicalFinite, sp: SigmaParams | None = None) -> Wil
     (ignored for b = 0, where the map is the identity) and must belong to
     ``lat``; by default they are searched once per lattice.
     """
-    g = as_window(g)
-    if len(g) != lat.L:
-        raise FrameError(f"window length {len(g)} != lattice L {lat.L}")
+    g = as_window(g, lat.L)
     if sp is not None:
         _check_params(sp, lat)
     pp = PhiParams(0) if lat.b == 0 else phi_params_finite(sp or sigma_params(lat))

@@ -21,6 +21,24 @@ require ghat real-valued):
                 for j = 0..L/(2p)-1 and all y (the inverse DFT of d / (2p)
                 along j).
 
+The same two tables give the lattice ambiguity function.  With
+pi(x, y) g = tf_shift(g, x, y),
+
+    <pi(x1, y1) g, pi(x2, y2) g> = e^{2 pi i x2 (y1 - y2) / L} V(x1 - x2, y1 - y2),
+    V(x, y) = <pi(x, y) g, g> = L^-2 sum_w G(w) conj G(w + y) e^{-2 pi i x w / L},
+
+and Lambda - Lambda = Lambda, so the 2L values of V on the lattice hold
+the whole 2L x 2L Gabor Gram.  On row l (x = k q + l b, y = l p) the
+factor e^{-2 pi i k q w / L} depends only on r = w mod 2p, and with
+w = 2pj + r the sum over j is a chirp-modulated correlation of the blocks
+V_e, which the chirp turns into a plain correlation of the W_e:
+
+    C_{2s}     = e^{2 pi i b s^2/q} fft_j(|W_0|^2)[s] / q,
+    C_{2s'-1}  = e^{2 pi i b s'^2/q} fft_j(roll_j(W_0, b) conj W_1)[s' mod q] / q,
+    V(k q + l b, l p) = L^-2 fft_r(e^{-2 pi i l b r / L} C_l)[k],
+
+one length-q FFT along j and one length-2p FFT along r.
+
 The sequence-domain analogue checks the correlation condition for the
 Fourier series of a finitely supported sequence on a sample grid; both
 sides are trigonometric polynomials, so enough samples make it exact.
@@ -33,51 +51,48 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ring import CanonicalFinite
-from .signal import DEFAULT_TOL, DiscreteWindow, FrameError, as_window, real_spectrum
-
-
-@dataclass(frozen=True)
-class ZakTable:
-    """Zak values on the fundamental grid x = 0..2p-1, y = 0..L/(2p)-1."""
-
-    values: np.ndarray = field(repr=False)
-    p: int
-    L: int
-
-
-def zak_finite(f, p: int) -> ZakTable:
-    """Zf(x, y) = sum_k f(x + 2pk) e^{2 pi i (2pk/L) y} on the fundamental grid."""
-    f = as_window(f)
-    L = len(f)
-    if 2 * p <= 0 or L % (2 * p):
-        raise ValueError("2p must divide L")
-    q = L // (2 * p)
-    # rows k of the fold are the blocks f(2pk .. 2pk + 2p - 1)
-    return ZakTable(q * np.fft.ifft(f.reshape(q, 2 * p), axis=0).T, p, L)
+from .signal import DEFAULT_TOL, DiscreteWindow, as_window, real_spectrum
 
 
 @dataclass(frozen=True)
 class FrameSymbol:
-    """Eigenvalues d of S on the (q, 2p) grid (j, r), with W_0 and the chirp c."""
+    """Eigenvalues d of S on the (q, 2p) grid (j, r), with W_0, W_1 and the chirp c."""
 
     values: np.ndarray = field(repr=False)
     window_zak: np.ndarray = field(repr=False)
+    shifted_zak: np.ndarray = field(repr=False)
     chirp: np.ndarray = field(repr=False)
 
 
 def frame_symbol(g, lat: CanonicalFinite) -> FrameSymbol:
     """The L eigenvalues of the frame operator of g over lat (module docstring)."""
-    G = np.fft.fft(as_window(g))
     L, p, b = lat.L, lat.p, lat.b
-    if len(G) != L:
-        raise FrameError(f"window length {len(G)} != lattice L {L}")
+    G = np.fft.fft(as_window(g, L))
     q = L // (2 * p)
     j = np.arange(q)[:, None]
     chirp = np.exp(-2j * np.pi * (b * j * j % q) / q)
-    W0 = np.fft.fft(G.reshape(q, 2 * p) * chirp.conj(), axis=0)
-    W1 = np.fft.fft(np.roll(G, p).reshape(q, 2 * p) * chirp.conj(), axis=0)
-    d = (2 * p / L**2) * (np.abs(W0) ** 2 + np.abs(np.roll(W1, -b, axis=0)) ** 2)
-    return FrameSymbol(d, W0, chirp)
+    V = G[np.arange(L) - np.array([[0], [p]])]  # G and roll(G, p)
+    W0, W1 = np.fft.fft(V.reshape(2, q, 2 * p) * chirp.conj(), axis=1)
+    d = (2 * p / L**2) * (np.abs(W0) ** 2 + np.abs(W1[(j[:, 0] + b) % q]) ** 2)
+    return FrameSymbol(d, W0, W1, chirp)
+
+
+def ambiguity_table(g, lat: CanonicalFinite) -> np.ndarray:
+    """V[k, l] = <pi(k a + l b, l p) g, g> on the 2L lattice points, shape
+    (2p, L/p); (k, l + L/p) is the lattice point (k + 2b, l).  Read from
+    W_0 and W_1 of the frame symbol (module docstring) in O(L log L)."""
+    sym = frame_symbol(g, lat)
+    L, p, b = lat.L, lat.p, lat.b
+    W0, W1 = sym.window_zak, sym.shifted_zak
+    q = len(W0)
+    s = np.arange(q)
+    pairs = np.stack([np.abs(W0) ** 2, W0[s - b] * W1.conj()], axis=1)  # W0[s - b] = roll_j(W0, b)
+    C = np.fft.fft(pairs, axis=0) * sym.chirp.conj()[:, :, None]
+    C[:, 1] = C[(s + 1) % q, 1]  # row 2s + 1 = 2s' - 1 reads s' = s + 1
+    C = C.reshape(2 * q, 2 * p)
+    l, r = np.arange(2 * q)[:, None], np.arange(2 * p)
+    C *= np.exp(-2j * np.pi * (l * b * r % L) / L)
+    return np.fft.fft(C, axis=1).T / (q * L**2)
 
 
 def _quadrature_table(g, p: int) -> np.ndarray:
@@ -115,17 +130,15 @@ def correlation_sums_discrete(g: DiscreteWindow, N: int, t_samples: int | None =
     """
     if N <= 0 or N % 2:
         raise ValueError("N must be even and positive")
-    if len(g.values) == 0:
-        raise ValueError("empty support")
     width = len(g.values) - 1
     if t_samples is None:
         # degree of the sums in e^{2 pi i N t} is at most ceil(2*width/N)
         t_samples = max(64, 2 * (2 * width // N + 1) + 1)
     ts = np.arange(t_samples) / (N * t_samples)
-    sums = np.zeros((N // 2, t_samples), dtype=complex)
-    for j in range(N // 2):
-        for l in range(N):
-            sums[j] += g.ft_at(ts + l / N) * g.ft_at(ts + (l + 2 * j) / N)
+    # X[l, i] = ghat(t_i + l/N) is the DFT of the N T-periodization; with
+    # F = fft_l(X), sum_l X[l] X[l + m] is row m of ifft(F F[-nu])
+    F = np.fft.fft(np.fft.fft(g.periodize(N * t_samples)).reshape(N, t_samples), axis=0)
+    sums = np.fft.ifft(F * F[-np.arange(N)], axis=0)[::2]
     return ts, sums
 
 

@@ -45,8 +45,8 @@ def _raw_metaplectic(sp: SigmaParams) -> np.ndarray:
 
 
 def candidates(lat: CanonicalFinite, box: int):
-    """Every candidate tuple in the box, sorted by preference; admissibility
-    is left to the caller.
+    """Every candidate tuple in the box, sorted by preference and yielded
+    lazily; admissibility is left to the caller.
 
     Preference order: image lattice aligned with (L, p, 0) first, then
     larger gcd_c, satisfied sign conditions, small |beta|, |m0|, |n0|,
@@ -73,11 +73,11 @@ def candidates(lat: CanonicalFinite, box: int):
     order = np.lexsort((n0, m0, beta, alpha != 1, np.abs(n0), np.abs(m0), np.abs(beta),
                         ~sign_ok, -c, c != u))
     cols = (w[order].tolist() for w in (alpha, beta, v, c, m0, n0, x0, y0, sign_ok))
-    return [SigmaParams(alpha=alpha, beta=beta, gamma=-y0 // c, delta=x0 // c,
+    return (SigmaParams(alpha=alpha, beta=beta, gamma=-y0 // c, delta=x0 // c,
                         m0=m0, n0=n0, gcd_c=c, lcm_d=alpha * u * v // c,
                         s=c, t=-(x0 * y0) // c, L=L, p=p, b=b,
                         aligned=(c == u), sign_adjusted=not sign_ok)
-            for alpha, beta, v, c, m0, n0, x0, y0, sign_ok in zip(*cols)]
+            for alpha, beta, v, c, m0, n0, x0, y0, sign_ok in zip(*cols))
 
 
 def chirp_discrete(f: DiscreteWindow, n0: int, c: int, N: int) -> DiscreteWindow:

@@ -2,6 +2,7 @@ import csv
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -311,7 +312,7 @@ class TestClosedFormSearch:
         # the first 40 candidates of the literal box search, every sheared L <= 48
         checked = rejected = 0
         for lat in sheared_lattices(48):
-            for sp in candidates(lat, 2 * lat.L)[:40]:
+            for sp in islice(candidates(lat, 2 * lat.L), 40):
                 ok = dense_admissible(sp)
                 assert bool(metaplectic._admissible(sp.beta, sp.L)) == ok, sp
                 if not ok:
@@ -334,7 +335,7 @@ class TestClosedFormSearch:
         p = data.draw(st.sampled_from([d for d in range(1, half) if half % d == 0]), label="p")
         b = data.draw(st.integers(1, half // p - 1), label="b")
         lat = CanonicalFinite(2 * half, p, b)
-        cands = candidates(lat, 2 * lat.L)[:40]
+        cands = list(islice(candidates(lat, 2 * lat.L), 40))
         sp = cands[data.draw(st.integers(0, len(cands) - 1), label="candidate")]
         ok = dense_admissible(sp)
         assert bool(metaplectic._admissible(sp.beta, sp.L)) == ok

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from wilsonlat.gabor import gabor_system
+from wilsonlat.metaplectic import meta_finite, sigma_params
+from wilsonlat.ring import CanonicalFinite
 from wilsonlat.rng import SplitMix64
-from wilsonlat.signal import (DiscreteWindow, OperatorError, dft, herm_inv_sqrt,
-                              idft, inner, norm, read_window_csv, tf_shift,
-                              unitary_dft, write_window_csv)
+from wilsonlat.signal import (DiscreteWindow, FrameError, OperatorError, dft,
+                              herm_inv_sqrt, idft, inner, norm, read_window_csv,
+                              tf_shift, unitary_dft, write_window_csv)
+from wilsonlat.wilson import wilson_finite
+from wilsonlat.zak import frame_symbol
 
 
 def test_dft_constant_and_delta():
@@ -77,6 +82,14 @@ def test_inner_examples():
     assert abs(inner(e1, e2)) < 1e-15
     with pytest.raises(ValueError, match="length"):
         inner(np.ones(4), np.ones(5))
+
+
+@pytest.mark.parametrize("entry", [frame_symbol, gabor_system, wilson_finite,
+                                   lambda g, lat: meta_finite(g, sigma_params(lat))])
+def test_wrong_length_window_rejected(entry):
+    lat = CanonicalFinite(16, 1, 3)
+    with pytest.raises(FrameError, match="window length 12 != lattice L 16"):
+        entry(np.ones(12), lat)
 
 
 def test_inner_conjugate_symmetry():

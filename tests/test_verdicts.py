@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 import wilsonlat
 from wilsonlat import cli, gabor, wilson
-from wilsonlat.gabor import (ambiguity_table, frame_bounds, frame_operator, gabor_system,
+from wilsonlat.gabor import (frame_bounds, frame_operator, gabor_system,
                              spectral_deviation, tighten, tightness_deviation)
 from wilsonlat.metaplectic import meta_finite, sigma_params
 from wilsonlat.ring import CanonicalFinite, LatticeError
 from wilsonlat.rng import SplitMix64
-from wilsonlat.signal import inner, write_window_csv
+from wilsonlat.signal import write_window_csv
 from wilsonlat.wilson import equivalence_report, gram, gram_deviation, wilson_finite
+from wilsonlat.zak import ambiguity_table
 
 TOL = 1e-9
 
@@ -81,12 +82,13 @@ def test_fast_verdicts_match_dense_generated(data):
 
 def test_ambiguity_table_is_the_lattice_of_inner_products():
     rng = SplitMix64(81)
-    for lat in canonical_lattices(24):
+    lattices = list(canonical_lattices(48))
+    assert len(lattices) == 491
+    for lat in lattices:
         g = rng.complex_vector(lat.L)
         V = ambiguity_table(g, lat)
-        sys = gabor_system(g, lat)
-        want = np.array([[inner(sys.element(k, l), g) for l in range(lat.L // lat.p)]
-                         for k in range(2 * lat.p)])
+        # row (k, l) of the system is pi(k a + l b, l p) g; <e, g> = e . conj(g) / L
+        want = (gabor_system(g, lat).elements @ g.conj() / lat.L).reshape(V.shape)
         assert np.max(np.abs(V - want)) <= 1e-13 * np.max(np.abs(g)) ** 2, lat
 
 

@@ -6,7 +6,7 @@ from wilsonlat.ring import CanonicalFinite
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import DiscreteWindow, dft
 from wilsonlat.zak import (cond_correlation, cond_correlation_discrete,
-                           cond_quadrature, correlation_sums_discrete, zak_finite)
+                           cond_quadrature, correlation_sums_discrete, frame_symbol)
 
 
 def delta(L):
@@ -30,44 +30,60 @@ def correlation_deviation_literal(g, p):
     return dev
 
 
+def zak(f, p):
+    """Zak transform of f on the (y, x) grid with y reflected: W_0 of the
+    frame symbol of the window whose fft is f."""
+    return frame_symbol(np.fft.ifft(f), CanonicalFinite(len(f), p, 0)).window_zak
+
+
+def correlation_sums_literal(g, N, t_samples=None):
+    """Oracle: the sums of correlation_sums_discrete, term by term."""
+    width = len(g.values) - 1
+    if t_samples is None:
+        t_samples = max(64, 2 * (2 * width // N + 1) + 1)
+    ts = np.arange(t_samples) / (N * t_samples)
+    sums = np.zeros((N // 2, t_samples), dtype=complex)
+    for j in range(N // 2):
+        for l in range(N):
+            sums[j] += g.ft_at(ts + l / N) * g.ft_at(ts + (l + 2 * j) / N)
+    return ts, sums
+
+
 class TestZakFinite:
     def test_delta(self):
-        Z = zak_finite(delta(8), 1)
-        assert np.allclose(Z.values[0], 1)
-        assert np.allclose(Z.values[1], 0)
+        Z = zak(delta(8), 1)
+        assert np.allclose(Z[:, 0], 1)
+        assert np.allclose(Z[:, 1], 0)
 
     def test_constant(self):
-        Z = zak_finite(np.ones(8), 1)
-        expect = np.zeros((2, 4))
-        expect[:, 0] = 4
-        assert np.allclose(Z.values, expect)
+        Z = zak(np.ones(8), 1)
+        expect = np.zeros((4, 2))
+        expect[0] = 4
+        assert np.allclose(Z, expect)
 
     def test_reconstruction(self):
         rng = SplitMix64(30)
         for L, p in ((8, 1), (12, 3), (16, 2)):
             f = rng.complex_vector(L)
-            Z = zak_finite(f, p)
-            rec = (2 * p / L) * Z.values.sum(axis=1)
+            rec = (2 * p / L) * zak(f, p).sum(axis=0)
             assert np.max(np.abs(rec - f[:2 * p])) < 1e-12
 
     def test_unitarity(self):
         rng = SplitMix64(31)
         for L, p in ((8, 1), (12, 2), (24, 3)):
             f = rng.complex_vector(L)
-            Z = zak_finite(f, p)
-            lhs = (2 * p / L) * np.sum(np.abs(Z.values) ** 2)
+            lhs = (2 * p / L) * np.sum(np.abs(zak(f, p)) ** 2)
             assert lhs == pytest.approx(np.sum(np.abs(f) ** 2), rel=1e-12)
 
     def test_linear(self):
         rng = SplitMix64(33)
         f, g = rng.complex_vector(8), rng.complex_vector(8)
-        Zf, Zg = zak_finite(f, 2).values, zak_finite(g, 2).values
-        Zsum = zak_finite(2 * f + 3j * g, 2).values
-        assert np.max(np.abs(Zsum - 2 * Zf - 3j * Zg)) < 1e-12
+        Zsum = zak(2 * f + 3j * g, 2)
+        assert np.max(np.abs(Zsum - 2 * zak(f, 2) - 3j * zak(g, 2))) < 1e-12
 
     def test_divisibility_required(self):
         with pytest.raises(ValueError, match="divide"):
-            zak_finite(np.ones(8), 3)
+            zak(np.ones(8), 3)
 
 
 class TestQuadratureCondition:
@@ -175,6 +191,19 @@ class TestCorrelationDiscrete:
         # the 64-point grid is a subgrid of the 256-point grid; the sums are
         # trigonometric polynomials so the shared samples agree exactly
         assert np.max(np.abs(coarse - fine[:, ::4])) < 1e-12
+
+    def test_matches_literal_sums(self):
+        rng = SplitMix64(39)
+        for N in range(2, 13, 2):
+            for width in (1, 2, 3, 5, 8, 13, 21, 40):
+                for start in (-7, -3, 0, 2, 5):
+                    g = DiscreteWindow(start, rng.complex_vector(width))
+                    scale = N * np.sum(np.abs(g.values)) ** 2  # bounds every sum
+                    for t_samples in (None, 33):
+                        ts, want = correlation_sums_literal(g, N, t_samples)
+                        got_ts, got = correlation_sums_discrete(g, N, t_samples)
+                        assert np.array_equal(got_ts, ts)
+                        assert np.max(np.abs(got - want)) <= 1e-13 * scale, (N, width, start)
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
