@@ -11,7 +11,7 @@ from .metaplectic import (ParameterSearchError, SigmaParams, apply_continuous_U,
                           intertwining_phase, meta_finite, metaplectic_matrix,
                           sigma_params)
 from .ring import (CanonicalDiscrete, CanonicalFinite, CanonicalReal,
-                   GeneratorMatrix, LatticeError, Rational, canonical_discrete,
+                   GeneratorMatrix, LatticeError, canonical_discrete,
                    canonical_finite, ext_gcd, hnf_real, lattice_points_finite)
 from .signal import (DiscreteWindow, OperatorError, centered_dft, dft, herm_inv_sqrt,
                      idft, inner, norm, real_spectrum, tf_shift, unitary_dft)

@@ -4,17 +4,20 @@ A lattice is given by an integer or rational 2x2 generator matrix A, and
 the same lattice has many generators: A and AU generate identical point
 sets for any unimodular integer U.  Everything downstream (Gabor systems,
 Wilson bases, symplectic reindexing) consumes one distinguished generator
-per lattice, the upper-triangular canonical form, computed here in three
-ambient settings:
+per lattice.  In every setting it is the one Hermite normal form of A over
+Q (``_hermite``): [[a', b'], [0, d']] with d' > 0 the least positive second
+coordinate of a lattice point, a' = |det A| / d' and 0 <= b' < a'.  The
+three ambient settings differ only in the generators they accept and in how
+they pack (a', b', d'):
 
-* ``real``      -- lattices in R^2 with rational entries; canonical form
-                   [[a, b], [0, d]] with a, d > 0 and 0 <= b < a.
+* ``real``      -- lattices in R^2 with rational entries; packed as is,
+                   [[a, b], [0, d]].
 * ``discrete``  -- lattices in Z x T with integer top row, rational bottom
-                   row and determinant 1/2; canonical form
+                   row and determinant 1/2; d' = 1/N, a' = N/2, packed as
                    [[N/2, b], [0, 1/N]] with 0 <= b < N/2.
 * ``finite``    -- lattices in Z_L x Z_L with integer entries and
-                   determinant L/2; canonical form [[L/(2p), b], [0, p]]
-                   with p | L/2 and 0 <= b < L/(2p).
+                   determinant L/2 (so A Z^2 contains L Z^2); d' = p with
+                   p | L/2, a' = L/(2p), packed as [[L/(2p), b], [0, p]].
 
 All arithmetic in this module is exact (integers and ``Fraction``);
 canonical forms are discontinuous in the entries, so floating point is
@@ -25,14 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 # Canonicalization is exact but inputs are bounded so results stay desk
 # sized; out-of-range inputs fail loudly instead of silently churning.
 MAX_ENTRY = 10**6
 MAX_L = 2**20
-
-Rational = Fraction
 
 
 class LatticeError(ValueError):
@@ -47,6 +48,11 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise LatticeError(f"entry {x!r} is not an exact rational")
+
+
+def _enc(x: Fraction) -> int | str:
+    """JSON form of an exact rational: an int, or the string "n/d"."""
+    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _check_entry_bound(x: Fraction) -> None:
@@ -101,11 +107,8 @@ class GeneratorMatrix:
         return (int(self.a), int(self.b), int(self.c), int(self.d))
 
     def to_json(self) -> dict:
-        def enc(x: Fraction):
-            return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
         out = {"domain": self.domain,
-               "matrix": [[enc(self.a), enc(self.b)], [enc(self.c), enc(self.d)]]}
+               "matrix": [[_enc(self.a), _enc(self.b)], [_enc(self.c), _enc(self.d)]]}
         if self.domain == "finite":
             out["L"] = self.L
         return out
@@ -133,9 +136,7 @@ class CanonicalReal:
         return self.a * self.d
 
     def to_json(self) -> dict:
-        def enc(x):
-            return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-        return {"a": enc(self.a), "b": enc(self.b), "d": enc(self.d)}
+        return {"a": _enc(self.a), "b": _enc(self.b), "d": _enc(self.d)}
 
 
 @dataclass(frozen=True)
@@ -166,6 +167,8 @@ class CanonicalFinite:
     def __post_init__(self):
         if self.L <= 0 or self.L % 2:
             raise LatticeError("L must be even and positive")
+        if self.L > MAX_L:
+            raise LatticeError(f"L exceeds the supported bound {MAX_L}")
         if self.p <= 0 or (self.L // 2) % self.p:
             raise LatticeError("p must divide L/2")
         if not 0 <= self.b < self.L // (2 * self.p):
@@ -203,89 +206,43 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_m, old_n
 
 
-def hnf_real(A: GeneratorMatrix) -> CanonicalReal:
-    """Hermite normal form of a rational 2x2 generator.
+def _hermite(A: GeneratorMatrix) -> tuple[Fraction, Fraction, Fraction]:
+    """Hermite normal form (a', b', d') of any generator, exactly over Q.
 
-    Column operations only (they preserve the lattice): first produce a
-    point on the x-axis, then a point with minimal positive second
-    coordinate, and reduce the upper-right entry modulo the first.
+    The second coordinates of the lattice are cZ + dZ = (g/Q)Z, where Q
+    clears the bottom row's denominators and g = gcd(cQ, dQ) = cQm + dQn;
+    so d' = g/Q and the Bezout column A (m, n) = (x, d') lies in the
+    lattice.  The x-axis generator has length |det|/d', and b' is x
+    reduced modulo it.
     """
+    Q = lcm(A.c.denominator, A.d.denominator)
+    g, m, n = ext_gcd(int(A.c * Q), int(A.d * Q))
+    d = Fraction(g, Q)
+    a = abs(A.det()) / d
+    return a, (A.a * m + A.b * n) % a, d
+
+
+def hnf_real(A: GeneratorMatrix) -> CanonicalReal:
+    """Canonical form [[a, b], [0, d]] of a rational lattice in R^2."""
     if A.domain != "real":
         raise LatticeError("hnf_real expects a real-domain matrix")
-    a, b, c, d = A.a, A.b, A.c, A.d
-    det = A.det()
-    if c == 0 and d == 0:
-        raise LatticeError("zero determinant")
-    # Clear denominators in the bottom row: (c, d) = (C, D)/Q with integers.
-    Q = (c.denominator * d.denominator) // gcd(c.denominator, d.denominator)
-    C = int(c * Q)
-    D = int(d * Q)
-    p = gcd(abs(C), abs(D))
-    # A @ (D/p, -C/p) = (det * Q / p, 0): the x-axis generator.
-    new_a = abs(det) * Q / p
-    g, m, n = ext_gcd(C // p, D // p)
-    assert g == 1
-    new_d = Fraction(p, Q)
-    x = a * m + b * n  # first coordinate of a point with second coordinate p/Q
-    new_b = x - (x / new_a).__floor__() * new_a
-    return CanonicalReal(new_a, new_b, new_d)
+    return CanonicalReal(*_hermite(A))
 
 
 def canonical_discrete(A: GeneratorMatrix) -> CanonicalDiscrete:
-    """Canonical form [[N/2, b'], [0, 1/N]] of an integer-top-row lattice in Z x T.
-
-    Writing the bottom row over the common denominator as (r, s)/N with
-    gcd(r, s) = 1, the lattice contains (N*det, 0) = (N/2, 0) and, via a
-    Bezout pair r*m + s*n = 1, the point (a*m + b*n, 1/N); reducing the
-    first coordinate modulo N/2 gives the unique representative.
-    """
+    """Canonical form [[N/2, b], [0, 1/N]] of a volume-1/2 lattice in Z x T."""
     if A.domain != "discrete":
         raise LatticeError("canonical_discrete expects a discrete-domain matrix")
-    a, b = int(A.a), int(A.b)
-    c, d = A.c, A.d
-    if c == 0:
-        # already lower-left zero: d = 1/(2a); normalize signs
-        N = 2 * abs(a)
-        sgn = 1 if d > 0 else -1
-        bp = (b * sgn) % (N // 2)
-        return CanonicalDiscrete(N, bp)
-    ct = c.numerator * d.denominator
-    dt = d.numerator * c.denominator
-    Nprime = c.denominator * d.denominator
-    z = gcd(abs(ct), abs(dt))
-    # det = 1/2 forces N' even and z | N'/2, so N is an even integer
-    N = Nprime // z
-    r, s = ct // z, dt // z
-    if N < 0:
-        N, r, s = -N, -r, -s
-    g, m, n = ext_gcd(r, s)
-    assert g == 1  # r, s are coprime by construction
-    bp = (a * m + b * n) % (N // 2)
-    return CanonicalDiscrete(N, bp)
+    _, b, d = _hermite(A)
+    return CanonicalDiscrete(int(1 / d), int(b))
 
 
 def canonical_finite(A: GeneratorMatrix) -> CanonicalFinite:
-    """Canonical form (L, p, b') of an integer lattice in Z_L x Z_L.
-
-    p is gcd(c, d) (or |d| when c = 0); the lattice contains (L/(2p), 0)
-    and a point (z, p) found from a Bezout pair, and b' = z mod L/(2p).
-    """
+    """Canonical form (L, p, b) of an integer lattice in Z_L x Z_L."""
     if A.domain != "finite":
         raise LatticeError("canonical_finite expects a finite-domain matrix")
-    L = A.L
-    a, b, c, d = A.int_entries()
-    if c == 0:
-        p = abs(d)
-        sgn = 1 if d > 0 else -1
-        bp = (b * sgn) % (L // (2 * p))
-        return CanonicalFinite(L, p, bp)
-    p = gcd(abs(c), abs(d))
-    q, r = c // p, d // p
-    g, m, n = ext_gcd(q, r)
-    assert g == 1  # q, r are coprime by construction
-    z = a * m + b * n
-    bp = z % (L // (2 * p))
-    return CanonicalFinite(L, p, bp)
+    _, b, d = _hermite(A)
+    return CanonicalFinite(A.L, int(d), int(b))
 
 
 def lattice_points_finite(A: GeneratorMatrix | CanonicalFinite) -> frozenset[tuple[int, int]]:

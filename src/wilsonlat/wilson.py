@@ -373,6 +373,9 @@ def equivalence_report(g, lat: CanonicalFinite, tol: float = DEFAULT_TOL,
 HEX_A = 3.0 ** (-0.25)          # canonical hexagonal lattice scaled to volume 1/2
 HEX_B = HEX_A / 2.0
 HEX_D = 3.0 ** 0.25 / 2.0
+M_MAX = N_MAX = 2               # Gram index window |m| <= M_MAX, 0 <= n <= N_MAX
+# the demo's L x L interpolation kernel peaks near 32 L^2 bytes (543 MB RSS at L = 4096)
+DEMO_MAX_L = 4096
 
 
 @dataclass(frozen=True)
@@ -407,8 +410,7 @@ def _frac_shift(f: np.ndarray, x_grid: float) -> np.ndarray:
     return centered_dft(F * np.exp(-2j * np.pi * j * x_grid / L), inverse=True)
 
 
-def continuous_wilson_gram(g: np.ndarray, a: float, b: float, d: float,
-                           m_max: int = 2, n_max: int = 2) -> float:
+def continuous_wilson_gram(g: np.ndarray, a: float, b: float, d: float) -> float:
     """Max deviation from identity of the sampled continuous Wilson Gram.
 
     Assembles the volume-1/2 continuous-setting Wilson elements for the
@@ -422,9 +424,9 @@ def continuous_wilson_gram(g: np.ndarray, a: float, b: float, d: float,
         return _frac_shift(g, (m * a + n * b) * root) * np.exp(2j * np.pi * n * d * t)
 
     rows = []
-    for n in range(n_max + 1):
+    for n in range(N_MAX + 1):
         phase = np.exp(-1j * np.pi * b * d * n * n)
-        for m in range(-m_max, m_max + 1):
+        for m in range(-M_MAX, M_MAX + 1):
             m1, c1, c2 = wilson_pair(m, n, None)
             rows.append(phase * (c1 * atom(m1, n) + c2 * atom(m, -n)))
     B = np.array(rows)
@@ -432,8 +434,7 @@ def continuous_wilson_gram(g: np.ndarray, a: float, b: float, d: float,
     return float(np.max(np.abs(G - np.eye(len(rows)))))
 
 
-def wilson_continuous_demo(nu: float, L: int, m_max: int = 2, n_max: int = 2,
-                           fourier_twist: bool = False) -> ContinuousDemoReport:
+def wilson_continuous_demo(nu: float, L: int) -> ContinuousDemoReport:
     """Hexagonal-lattice demonstration of the continuous construction.
 
     Samples the Gaussian (2 nu)^{1/4} e^{-nu pi t^2} on the sqrt(L) grid,
@@ -445,16 +446,16 @@ def wilson_continuous_demo(nu: float, L: int, m_max: int = 2, n_max: int = 2,
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
-    if L < 64:
-        raise ValueError("demo requires L >= 64")
+    if not 64 <= L <= DEMO_MAX_L:
+        raise ValueError(f"demo requires 64 <= L <= {DEMO_MAX_L}")
     root, t = _grid(L)
     h = (2 * nu) ** 0.25 * np.exp(-nu * np.pi * t * t) + 0j
     rect = CanonicalFinite(L, root, 0)
-    w = tighten(h, rect, fourier_twist=fourier_twist)
+    w = tighten(h, rect)
     g = apply_continuous_U(w, (HEX_A, HEX_B, HEX_D), inverse=True)
 
-    hex_dev = continuous_wilson_gram(g, HEX_A, HEX_B, HEX_D, m_max, n_max)
-    rect_dev = continuous_wilson_gram(w, 0.5, 0.0, 1.0, m_max, n_max)
+    hex_dev = continuous_wilson_gram(g, HEX_A, HEX_B, HEX_D)
+    rect_dev = continuous_wilson_gram(w, 0.5, 0.0, 1.0)
 
     mass = np.sum(np.abs(g) ** 2)
     mean_t = np.sum(t * np.abs(g) ** 2) / mass

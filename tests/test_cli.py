@@ -215,6 +215,10 @@ def test_zak_check_rejects_sheared_lattice(tmp_path, capsys):
 
 
 def test_bad_lattice_flag_usage_error(capsys):
+    code, out, err = run(capsys, "sigma", "--lattice", "2097152,1,1")
+    assert code == 2
+    assert out == ""
+    assert "bound" in err and len(err.strip().splitlines()) == 1
     assert main(["sigma", "--lattice", "8,1"]) == 2
     assert main(["sigma", "--lattice", "7,1,0"]) == 2
 
@@ -245,7 +249,8 @@ def test_window_length_mismatch_exit2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("args", [["--L", "0"], ["--L", "7"], ["--L", "36"], ["--L", "-64"],
-                                  ["--nu", "-1"], ["--nu", "0"], ["--nu", "nan"]])
+                                  ["--nu", "-1"], ["--nu", "0"], ["--nu", "nan"],
+                                  ["--L", "4356"]])
 def test_demo_hex_bad_arguments_exit2(capsys, args):
     code, out, err = run(capsys, "demo-hex", *args)
     assert code == 2

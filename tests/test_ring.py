@@ -147,6 +147,9 @@ class TestCanonicalDiscrete:
             # idempotence
             H = GeneratorMatrix(F(can.N, 2), can.b, 0, F(1, can.N), domain="discrete")
             assert canonical_discrete(H) == can
+            # the same entries read in R^2 have the same normal form
+            real = hnf_real(GeneratorMatrix(a, b, c, d, domain="real"))
+            assert real == CanonicalReal(F(can.N, 2), F(can.b), F(1, can.N))
             count += 1
 
 
@@ -214,6 +217,9 @@ class TestCanonicalFinite:
                 # idempotence and exact volume
                 assert canonical_finite(can.to_generator()) == can
                 assert can.to_generator().det() == F(L, 2)
+                # the same entries read in R^2 have the same normal form
+                real = hnf_real(GeneratorMatrix(A.a, A.b, A.c, A.d, domain="real"))
+                assert real == CanonicalReal(F(can.time_step), F(can.b), F(can.p))
 
 
 class TestJson:
@@ -236,6 +242,8 @@ class TestJson:
 def test_entry_bound_checked():
     with pytest.raises(LatticeError, match="bound"):
         GeneratorMatrix(10**7, 0, 0, 1, domain="real")
+    with pytest.raises(LatticeError, match="bound"):
+        CanonicalFinite(2**21, 1, 1)
 
 
 def test_hnf_real_zero_d_column():
@@ -244,6 +252,10 @@ def test_hnf_real_zero_d_column():
     can = hnf_real(A)
     assert can.volume() == abs(A.det())
     assert same_real_lattice(A, can)
+    # bottom row (0, d) with d < 0
+    A = GeneratorMatrix(F(-3, 2), F(5, 4), 0, F(-2, 3), domain="real")
+    assert hnf_real(A) == CanonicalReal(F(3, 2), F(1, 4), F(2, 3))
+    assert same_real_lattice(A, hnf_real(A))
 
 
 def test_canonical_discrete_negative_entries():
@@ -252,6 +264,9 @@ def test_canonical_discrete_negative_entries():
     A = GeneratorMatrix(2, -3, F(1, 2), F(-1, 2), domain="discrete")
     can = canonical_discrete(A)
     assert same_discrete_lattice(A, can)
+    A = GeneratorMatrix(-3, 2, 0, F(-1, 6), domain="discrete")
+    assert canonical_discrete(A) == CanonicalDiscrete(6, 1)
+    assert same_discrete_lattice(A, CanonicalDiscrete(6, 1))
 
 
 def test_canonical_finite_negative_entries():
@@ -259,3 +274,6 @@ def test_canonical_finite_negative_entries():
         A = GeneratorMatrix(*entries, domain="finite", L=8)
         can = canonical_finite(A)
         assert lattice_points_finite(A) == lattice_points_finite(can)
+    # bottom row (0, d) with d < 0
+    assert canonical_finite(GeneratorMatrix(-4, 3, 0, -1, domain="finite", L=8)) == \
+        CanonicalFinite(8, 1, 1)

@@ -361,3 +361,5 @@ class TestContinuousDemo:
             wilson_continuous_demo(0.0, 64)
         with pytest.raises(ValueError):
             wilson_continuous_demo(1.0, 32)
+        with pytest.raises(ValueError):
+            wilson_continuous_demo(1.0, 4356)
