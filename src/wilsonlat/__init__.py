@@ -18,7 +18,7 @@ from .signal import (DiscreteWindow, OperatorError, centered_dft, dft, herm_inv_
 from .wilson import (EquivalenceReport, PhiParams, WilsonSequenceFamily,
                      WilsonSystem, equivalence_report, gram, gram_deviation,
                      gram_discrete, periodized_gram, phi_inverse, phi_map,
-                     phi_params_discrete, phi_params_finite, wilson_continuous_demo,
+                     phi_params_discrete, wilson_continuous_demo,
                      wilson_discrete, wilson_finite, wilson_index_set, wilson_pair)
 from .zak import (FrameSymbol, cond_correlation, cond_correlation_discrete,
                   cond_quadrature, correlation_sums_discrete, frame_symbol)

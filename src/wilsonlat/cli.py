@@ -25,7 +25,8 @@ import numpy as np
 
 from . import gabor, metaplectic, ring, wilson, zak
 from .rng import SplitMix64
-from .signal import DEFAULT_TOL, read_window_csv, write_samples, write_window_csv
+from .signal import (DEFAULT_TOL, read_window_csv, unitary_dft, write_samples,
+                     write_window_csv)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -94,7 +95,9 @@ def cmd_canonicalize(args, t0: float) -> int:
 def cmd_gabor(args, t0: float) -> int:
     lat = parse_lattice(args.lattice)
     g = read_window(args.window, lat)
-    gt = gabor.tighten(g, lat, fourier_twist=args.fourier_twist)
+    gt = gabor.tighten(g, lat)
+    if args.fourier_twist:
+        gt = unitary_dft(gt)
     write_window_csv(args.out, gt)
     dev = gabor.spectral_deviation(gt, lat)
     emit({"command": "gabor tighten", "lattice": lat.to_json(),
@@ -191,12 +194,13 @@ def cmd_selftest(args, t0: float) -> int:
     checks["rectangular_wilson_onb"] = ok
     checks["rectangular_wilson_onb_dev"] = worst
 
-    # four-way equivalence on an aligned sheared lattice
-    lat = ring.CanonicalFinite(8, 1, 3)
-    h = rng.real_dft_window(8)
-    gt = gabor.tighten(metaplectic.meta_finite(h, metaplectic.sigma_params(lat)), lat)
-    rep = wilson.equivalence_report(gt, lat)
-    checks["four_way_equivalence"] = all(rep.verdicts())
+    # four-way equivalence on an aligned and a non-aligned sheared lattice
+    ok = True
+    for lat in (ring.CanonicalFinite(8, 1, 3), ring.CanonicalFinite(8, 2, 1)):
+        h = rng.real_dft_window(8)
+        gt = gabor.tighten(metaplectic.meta_finite(h, metaplectic.sigma_params(lat)), lat)
+        ok = all(wilson.equivalence_report(gt, lat).verdicts()) and ok
+    checks["four_way_equivalence"] = ok
 
     # Zak criteria agree with tightness
     g = gabor.tighten(rng.real_dft_window(16), ring.CanonicalFinite(16, 2, 0))
@@ -240,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("canonicalize", help="canonical lattice generator")
     c.add_argument("--domain", choices=("real", "discrete", "finite"), required=True)
     c.add_argument("--L", type=int, default=None)
-    c.add_argument("--matrix", required=True, help="a,b,c,d (rationals allowed: 3/2)")
+    c.add_argument("--matrix", required=True,
+                   help="a,b,c,d (rationals allowed: 3/2); write a negative first "
+                        "entry as --matrix=-3/2,5/4,0,-2/3")
     c.set_defaults(func=cmd_canonicalize)
 
     g = sub.add_parser("gabor", help="Gabor frame operations")
@@ -249,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     gt.add_argument("--lattice", required=True, help="L,p,b")
     gt.add_argument("--window", required=True)
     gt.add_argument("--out", required=True)
-    gt.add_argument("--fourier-twist", action="store_true")
+    gt.add_argument("--fourier-twist", action="store_true",
+                    help="apply the unitary DFT to the tight window")
     gt.set_defaults(func=cmd_gabor)
 
     z = sub.add_parser("zak", help="Zak-domain tightness criteria")

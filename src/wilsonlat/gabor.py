@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ring import CanonicalFinite
-from .signal import (COND_FLOOR, DEFAULT_TOL, FrameError, as_window, tf_shift,
-                     unitary_dft)
+from .signal import COND_FLOOR, DEFAULT_TOL, FrameError, as_window, tf_shift
 from .zak import frame_symbol
 
 
@@ -84,24 +83,20 @@ def spectral_deviation(g, lat: CanonicalFinite) -> float:
     return max(B - 2.0, 2.0 - A)
 
 
-def tighten(g, lat: CanonicalFinite, fourier_twist: bool = False) -> np.ndarray:
+def tighten(g, lat: CanonicalFinite) -> np.ndarray:
     """Canonical tight window sqrt(2) S^{-1/2} g for the lattice.
 
     The output generates a tight frame with bound exactly 2 over the same
     lattice.  One path serves every (L, p, b): the frame symbol d and the
     chirped table W_0 of g give the spectrum of S^{-1/2} g blockwise as
-    c ifft_j(W_0 / sqrt(d)) (see :mod:`wilsonlat.zak`).  With
-    ``fourier_twist`` the unitary DFT is applied afterwards (makes the
-    spectrum of a real even window real; note the twist moves tightness
-    to the transposed lattice unless p = L/(2p)).
+    c ifft_j(W_0 / sqrt(d)) (see :mod:`wilsonlat.zak`).
     """
     sym = frame_symbol(g, lat)
     d = sym.values
     if not d.min() > COND_FLOOR * d.max():  # also rejects NaN
         raise FrameError("window does not generate a frame")
     blocks = np.fft.ifft(sym.window_zak / np.sqrt(d), axis=0) * sym.chirp
-    gt = np.sqrt(2.0) * np.fft.ifft(blocks.ravel())
-    return unitary_dft(gt) if fourier_twist else gt
+    return np.sqrt(2.0) * np.fft.ifft(blocks.ravel())
 
 
 def symmetrize(g) -> np.ndarray:

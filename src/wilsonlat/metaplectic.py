@@ -16,8 +16,8 @@ psi the phase of C at (k, l).
 Search.  A candidate is a row (alpha, beta), |alpha| = 1, v = alpha b +
 beta p != 0, c = gcd(L/(2p), |v|), with a Bezout pair (m0, n0) solving
 alpha (L/2p) m0 + v n0 = c.  Preference: larger c (c = L/(2p) maps onto
-the rectangle with the *same* p, possible iff gcd(p, L/(2p)) | b, and only
-then do the Wilson index sets line up), the sign conditions, small |beta|,
+the rectangle with the *same* p, possible iff gcd(p, L/(2p)) | b: the
+aligned case), the sign conditions, small |beta|,
 |m0|, |n0|, alpha = +1, then (beta, m0, n0).  The kernel of a candidate is
 proportional to a unitary unless beta != 0 and v2(beta) = v2(L), v2 the
 exponent of 2 (its Gauss sums vanish; checked against the dense test, not

@@ -1,22 +1,23 @@
 """Wilson systems: +/- recombinations of Gabor atoms that turn a tight
 redundancy-2 frame into an orthonormal basis.
 
-Finite setting.  For a canonical lattice (L, p, b) the index set is
+Finite setting.  One construction serves every canonical lattice (L, p, b).
+The symplectic sigma of :mod:`wilsonlat.metaplectic` maps it onto the
+rectangle (L, q, 0) with time step c = L/(2q) (q = p on aligned lattices,
+sigma = id when b = 0), whose index set
 
-    I = {0..p-1} x {0, L/(2p)}  union  {0..2p-1} x {1..L/(2p)-1},
+    I = {0..q-1} x {0, c}  union  {0..2q-1} x {1..c-1}
 
-exactly L indices.  Each element is c1 g[phi(m1, n)] + c2 g[phi(m, -n)]
-for the Gabor atoms g[k, l], where phi is the unimodular index map derived
-from the symplectic parameters (the identity when b = 0) and
-``wilson_pair`` is the one rule for (m1, c1, c2).  Middle rows take m1 = m
-with 1/sqrt2, 1/sqrt2 (m+n even) or i/sqrt2, -i/sqrt2 (m+n odd).  The two
-boundary rows n = 0 and n = L/(2p) keep the single atom m1 = 2m + (n mod 2)
-with c1 = 1, c2 = 0: at those rows the +/- pair is self-paired, the odd
-combination vanishes identically, and only the even-parity atoms survive.
-(For n = L/(2p) odd this staggers the row by one time step relative to
-n = 0; with L/(2p) even it takes every other atom starting at m = 0.)
-The finite basis is one gather of time-frequency shifts through phi,
-made only when ``WilsonSystem.basis`` is read.
+has exactly L indices.  Element (m, n) is c1 pi(sigma^{-1}(m1 c, n q)) g +
+c2 pi(sigma^{-1}(m c, -n q)) g, with ``wilson_pair`` the one rule for
+(m1, c1, c2): middle rows take m1 = m with 1/sqrt2, 1/sqrt2 (m+n even) or
+i/sqrt2, -i/sqrt2 (m+n odd); the boundary rows n = 0 and n = c keep the
+single atom m1 = 2m + (n mod 2) with c1 = 1, c2 = 0 (there the +/- pair is
+self-paired and only the even-parity atoms survive).  Both atoms carry the
+same intertwining phase, so the system is U of the rectangular system of
+U^{-1} g up to a unimodular factor per element, and it is an orthonormal
+basis exactly when that one is.  The basis is one gather of time-frequency
+shifts, made only when ``WilsonSystem.basis`` is read.
 
 Gram deviation without the basis.  Element i is c_0^i pi(lambda_0^i) g +
 c_1^i pi(lambda_1^i) g, so by the ambiguity identity of
@@ -32,8 +33,9 @@ row blocks on and right of the diagonal (G is Hermitian) whose four terms
 hold about ``SCAN_BLOCK`` entries, and at most max(SCAN_BLOCK, 4L) when one
 row is wider: O(L^2) time and O(L) memory, no L x L array.  ``gram`` is the dense oracle.
 
-Sequence setting.  The same rule for a lattice (N/2, b, 1/N) in Z x T,
-with m unbounded; elements are finitely supported sequences.
+Sequence setting.  The same rule for a lattice (N/2, b, 1/N) in Z x T
+through the unimodular index map phi (``phi_params_discrete``), with m
+unbounded; elements are finitely supported sequences.
 
 The Gram matrix of a Wilson system equals the identity exactly when the
 underlying window generates a tight frame with bound 2 and the spectrum
@@ -70,22 +72,12 @@ class PhiParams:
     b: int
     m0: int = 0
     n0: int = 0
-    k1: int = 0  # (alpha b + beta p) / c   resp. b / c
-    k2: int = 0  # alpha (L/2p) / c         resp. (N/2) / c
+    k1: int = 0  # b / c
+    k2: int = 0  # (N/2) / c
 
     def __post_init__(self):
         if self.b != 0 and self.m0 * self.k2 + self.n0 * self.k1 != 1:
             raise LatticeError("inconsistent PhiParams")
-
-
-def phi_params_finite(sp: SigmaParams) -> PhiParams:
-    if sp.b == 0:
-        return PhiParams(0)
-    u_signed = sp.alpha * (sp.L // (2 * sp.p))
-    v = sp.alpha * sp.b + sp.beta * sp.p
-    if v % sp.gcd_c or u_signed % sp.gcd_c:
-        raise LatticeError("inconsistent PhiParams")
-    return PhiParams(sp.b, sp.m0, sp.n0, v // sp.gcd_c, u_signed // sp.gcd_c)
 
 
 def phi_params_discrete(N: int, b: int) -> PhiParams:
@@ -132,9 +124,9 @@ def wilson_index_set(L: int, p: int) -> list[tuple[int, int]]:
 def wilson_pair(m, n, top: int | None) -> tuple:
     """The Wilson rule at index (m, n) with boundary rows n = 0 and n = top.
 
-    Returns (m1, c1, c2): the element is c1 g[phi(m1, n)] + c2 g[phi(m, -n)].
-    Works on ints and elementwise on integer arrays; ``top=None`` means no
-    upper boundary row (the continuous setting).
+    Returns (m1, c1, c2): the element is c1 a(m1, n) + c2 a(m, -n) for the
+    setting's atoms a.  Works on ints and elementwise on integer arrays;
+    ``top=None`` means no upper boundary row (the continuous setting).
     """
     edge = (n == 0) | (n == top)
     odd = (m + n) % 2
@@ -145,27 +137,41 @@ def wilson_pair(m, n, top: int | None) -> tuple:
 
 @dataclass(frozen=True)
 class WilsonSystem:
-    """Wilson system of ``window`` over ``lattice`` through the index map ``phi``.
+    """Wilson system of ``window`` over ``lattice``, transported through ``params``.
 
-    ``basis`` (rows = elements, (n, m)-lex order) is gathered on first
-    read; :func:`gram_deviation` works from :meth:`atoms` and never reads it.
+    ``basis`` (rows = elements, (n, m)-lex order over the index set of the
+    image rectangle (L, q)) is gathered on first read; :func:`gram_deviation`
+    works from :meth:`atoms` and never reads it.
     """
 
     window: np.ndarray = field(repr=False)
     lattice: CanonicalFinite
-    phi: PhiParams
+    params: SigmaParams
+
+    def __post_init__(self):
+        sp, lat = self.params, self.lattice
+        if (sp.L, sp.p, sp.b) != (lat.L, lat.p, lat.b):
+            raise LatticeError(f"symplectic parameters of ({sp.L}, {sp.p}, {sp.b}) "
+                               f"given for {lat}")
 
     @cached_property
     def index_set(self) -> tuple:
-        return tuple(wilson_index_set(self.lattice.L, self.lattice.p))
+        return tuple(wilson_index_set(self.lattice.L, self.params.q))
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Lattice coordinates k, l and coefficients c, each of shape (2, L):
         element i is sum_s c[s, i] tf_shift(g, k[s, i] a + l[s, i] b, l[s, i] p)."""
-        m, n = _index_arrays(self.lattice.L, self.lattice.p)
-        m1, c1, c2 = wilson_pair(m, n, self.lattice.time_step)
-        (k1, l1), (k2, l2) = phi_map(m1, n, self.phi), phi_map(m, -n, self.phi)
-        return np.array([k1, k2]), np.array([l1, l2]), np.array([c1, c2])
+        L, p, b, a = self.lattice.L, self.lattice.p, self.lattice.b, self.lattice.time_step
+        sp, q, top = self.params, self.params.q, self.params.gcd_c
+        m, n = _index_arrays(L, q)
+        m1, c1, c2 = wilson_pair(m, n, top)
+        X, Y = np.array([m1 * top, m * top]), np.array([n * q, -n * q])
+        # sigma^{-1} = [[delta, -beta], [-gamma, alpha]], reduced mod L so the
+        # products stay below L^2 at every admissible L
+        x = (sp.delta % L * X + -sp.beta % L * Y) % L
+        y = (-sp.gamma % L * X + sp.alpha % L * Y) % L
+        l = y // p
+        return (x - l * b) // a, l, np.array([c1, c2])
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -177,30 +183,20 @@ class WilsonSystem:
         return basis
 
     def element(self, m: int, n: int) -> np.ndarray:
-        p, top = self.lattice.p, self.lattice.time_step
-        if not (0 <= n <= top and 0 <= m < (p if n in (0, top) else 2 * p)):
+        q, top = self.params.q, self.params.gcd_c
+        if not (0 <= n <= top and 0 <= m < (q if n in (0, top) else 2 * q)):
             raise ValueError(f"({m}, {n}) is not a Wilson index of {self.lattice}")
-        return self.basis[m + max(2 * n - 1, 0) * p]
-
-
-def _check_params(sp: SigmaParams, lat: CanonicalFinite) -> None:
-    if (sp.L, sp.p, sp.b) != (lat.L, lat.p, lat.b):
-        raise LatticeError(f"symplectic parameters of ({sp.L}, {sp.p}, {sp.b}) "
-                           f"given for {lat}")
+        return self.basis[m + max(2 * n - 1, 0) * q]
 
 
 def wilson_finite(g, lat: CanonicalFinite, sp: SigmaParams | None = None) -> WilsonSystem:
     """Wilson system of a window over a canonical finite lattice.
 
-    ``sp`` overrides the symplectic parameters used for the index map
-    (ignored for b = 0, where the map is the identity) and must belong to
-    ``lat``; by default they are searched once per lattice.
+    ``sp`` overrides the symplectic parameters that transport the index
+    set and must belong to ``lat``; by default they are searched once per
+    lattice (the identity bundle for b = 0).
     """
-    g = as_window(g, lat.L)
-    if sp is not None:
-        _check_params(sp, lat)
-    pp = PhiParams(0) if lat.b == 0 else phi_params_finite(sp or sigma_params(lat))
-    return WilsonSystem(g, lat, pp)
+    return WilsonSystem(as_window(g, lat.L), lat, sp or sigma_params(lat))
 
 
 def gram(sys_or_basis) -> np.ndarray:
@@ -348,10 +344,8 @@ def equivalence_report(g, lat: CanonicalFinite, tol: float = DEFAULT_TOL,
     spectrum (the hypothesis under which the four conditions are
     equivalent); raises otherwise.
     """
-    g = as_window(g)
-    if sp is None:
-        sp = sigma_params(lat)
-    _check_params(sp, lat)
+    sheared = wilson_finite(g, lat, sp)
+    g, sp = sheared.window, sheared.params
     h = meta_finite(g, sp, inverse=True)
     try:
         real_spectrum(h)
@@ -361,7 +355,7 @@ def equivalence_report(g, lat: CanonicalFinite, tol: float = DEFAULT_TOL,
     dev_i = spectral_deviation(g, lat)
     dev_ii = spectral_deviation(h, rect)
     dev_iii = gram_deviation(wilson_finite(h, rect))
-    dev_iv = gram_deviation(wilson_finite(g, lat, sp))
+    dev_iv = gram_deviation(sheared)
     devs = {"sheared_tight": dev_i, "rectangular_tight": dev_ii,
             "rectangular_onb": dev_iii, "sheared_onb": dev_iv}
     return EquivalenceReport(dev_i <= tol, dev_ii <= tol, dev_iii <= tol,

@@ -4,7 +4,8 @@ chirp and continuous factorization data that only the tests use.
 ``dense_metaplectic`` is the kernel sum U f(k) = sum_l f(alpha k + beta l)
 psi(k, l) normalized to a unitary, the definition that the factored
 ``wilsonlat.metaplectic`` operator is checked against; ``candidates`` is
-the preference-ordered box search that ``sigma_params`` reproduces.
+the preference-ordered box search that ``sigma_params`` reproduces;
+``phi_params_finite`` is the finite index map of the Wilson gather.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from wilsonlat.metaplectic import UNITARY_TOL, ParameterSearchError, SigmaParams
 from wilsonlat.ring import CanonicalFinite, CanonicalReal, LatticeError
 from wilsonlat.signal import DiscreteWindow
+from wilsonlat.wilson import PhiParams
 
 
 def dense_metaplectic(sp: SigmaParams) -> np.ndarray:
@@ -142,3 +144,16 @@ def continuous_factor(lat: CanonicalReal | tuple) -> ContinuousFactorization:
                    abs(float(got[1]) - float(want[1])) > 1e-12:
                     raise LatticeError("factorization point map failed numerically")
     return fact
+
+
+def phi_params_finite(sp: SigmaParams) -> PhiParams:
+    """The finite index map phi from the Bezout data of ``sp``: phi(m, n)
+    are the lattice coordinates of sigma^{-1}(m c, n L/(2c)), the atom
+    that ``WilsonSystem.atoms`` reads through sigma^{-1} mod L."""
+    if sp.b == 0:
+        return PhiParams(0)
+    u_signed = sp.alpha * (sp.L // (2 * sp.p))
+    v = sp.alpha * sp.b + sp.beta * sp.p
+    if v % sp.gcd_c or u_signed % sp.gcd_c:
+        raise LatticeError("inconsistent PhiParams")
+    return PhiParams(sp.b, sp.m0, sp.n0, v // sp.gcd_c, u_signed // sp.gcd_c)

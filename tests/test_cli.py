@@ -7,7 +7,7 @@ from wilsonlat.cli import main
 from wilsonlat.gabor import tighten
 from wilsonlat.ring import CanonicalFinite
 from wilsonlat.rng import SplitMix64
-from wilsonlat.signal import read_window_csv, write_window_csv
+from wilsonlat.signal import read_window_csv, unitary_dft, write_window_csv
 from wilsonlat.wilson import wilson_finite
 
 
@@ -36,6 +36,14 @@ def test_canonicalize_real(capsys):
                        "--matrix", "1,1,1,3/2")
     assert code == 0
     assert json.loads(out) == {"a": 1, "b": 0, "d": "1/2"}
+
+
+def test_canonicalize_negative_first_entry(capsys):
+    # a leading minus only parses in the --matrix=... form
+    code, out, _ = run(capsys, "canonicalize", "--domain", "real",
+                       "--matrix=-3/2,5/4,0,-2/3")
+    assert code == 0
+    assert out == '{"a": "3/2", "b": "1/4", "d": "2/3"}\n'
 
 
 def test_canonicalize_bad_determinant_exit3(capsys):
@@ -234,6 +242,8 @@ def test_gabor_tighten_fourier_twist(tmp_path, capsys):
     _ = capsys.readouterr()
     assert code == 0
     assert len(read_window_csv(out)) == 16
+    want = unitary_dft(tighten(g, CanonicalFinite(16, 4, 0)))
+    assert np.max(np.abs(read_window_csv(out) - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("command", [

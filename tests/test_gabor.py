@@ -8,7 +8,7 @@ from wilsonlat.gabor import (FrameError, frame_operator, gabor_system, is_tight,
 from wilsonlat.metaplectic import metaplectic_matrix, sigma_params
 from wilsonlat.ring import CanonicalFinite
 from wilsonlat.rng import SplitMix64
-from wilsonlat.signal import dft, herm_inv_sqrt, inner, tf_shift
+from wilsonlat.signal import dft, herm_inv_sqrt, inner, tf_shift, unitary_dft
 from wilsonlat.zak import frame_symbol
 
 
@@ -214,7 +214,7 @@ def test_fourier_twist_flag():
     lat = CanonicalFinite(16, 4, 0)
     g = rng.real_dft_window(16)
     gt = tighten(g, lat)
-    twisted = tighten(g, lat, fourier_twist=True)
+    twisted = unitary_dft(tighten(g, lat))
     assert np.max(np.abs(twisted - np.sqrt(16) * dft(gt))) < 1e-12
     # tightness moves to the transposed rectangular lattice (p' = L/(2p))
     assert is_tight(gabor_system(twisted, CanonicalFinite(16, 2, 0)), 2.0, 1e-9)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wilsonlat
-from oracles import candidates, chirp_discrete, continuous_factor, dense_metaplectic
+from oracles import (candidates, chirp_discrete, continuous_factor, dense_metaplectic,
+                     phi_params_finite)
 from wilsonlat import cli, metaplectic, wilson
 from wilsonlat.gabor import tighten
 from wilsonlat.metaplectic import (ParameterSearchError, SigmaParams,
@@ -131,7 +132,7 @@ class TestIntertwining:
 
     def test_sigma_maps_lattice_to_rectangle(self):
         # sigma(point of phi(m, n)) = (m c, n L/(2c)) mod L, exact integers
-        from wilsonlat.wilson import phi_map, phi_params_finite
+        from wilsonlat.wilson import phi_map
         for lat in all_lattices():
             if lat.b == 0:
                 continue
@@ -148,7 +149,7 @@ class TestIntertwining:
 
     def test_phase_independent_of_sign(self):
         # C at the points of phi(m, n) and phi(m, -n) agree exactly
-        from wilsonlat.wilson import phi_map, phi_params_finite
+        from wilsonlat.wilson import phi_map
         for lat in all_lattices():
             if lat.b == 0:
                 continue

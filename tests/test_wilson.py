@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import phi_params_finite
 from wilsonlat.gabor import FrameError, tighten
 from wilsonlat.metaplectic import metaplectic_matrix, sigma_params
 from wilsonlat.ring import CanonicalFinite, LatticeError
@@ -11,7 +12,7 @@ from wilsonlat.signal import DiscreteWindow, tf_shift
 from wilsonlat.wilson import (PhiParams, equivalence_report, gram,
                               gram_deviation, gram_discrete, periodized_gram,
                               phi_inverse, phi_map, phi_params_discrete,
-                              phi_params_finite, wilson_continuous_demo,
+                              wilson_continuous_demo,
                               wilson_discrete, wilson_finite, wilson_index_set,
                               wilson_pair)
 
@@ -113,15 +114,16 @@ def canonical_lattices(max_L):
 def literal_wilson_basis(g, lat):
     """Per-element oracle: a loop over I with one tf_shift per atom."""
     L, p, b, a = lat.L, lat.p, lat.b, lat.time_step
-    pp = phi_params_finite(sigma_params(lat))
+    sp = sigma_params(lat)
+    pp = phi_params_finite(sp)
 
     def atom(m, n):
         k, l = phi_map(m, n, pp)
         return tf_shift(g, k * a + l * b, l * p)
 
     rows = []
-    for m, n in wilson_index_set(L, p):
-        if n == 0 or n == a:
+    for m, n in wilson_index_set(L, sp.q):
+        if n == 0 or n == sp.gcd_c:
             rows.append(atom(2 * m + n % 2, n))
         elif (m + n) % 2 == 0:
             rows.append((atom(m, n) + atom(m, -n)) / np.sqrt(2))
@@ -259,6 +261,14 @@ class TestWilsonFiniteSheared:
     def test_dimension_mismatch(self):
         with pytest.raises(FrameError):
             wilson_finite(np.ones(6), CanonicalFinite(8, 1, 0))
+
+    def test_params_of_another_lattice_rejected(self):
+        sp = sigma_params(CanonicalFinite(8, 1, 3))
+        for lat in (CanonicalFinite(8, 1, 1), CanonicalFinite(8, 2, 1)):
+            with pytest.raises(LatticeError, match="symplectic parameters"):
+                wilson_finite(np.ones(8), lat, sp)
+            with pytest.raises(LatticeError, match="symplectic parameters"):
+                equivalence_report(np.ones(8), lat, sp=sp)
 
 
 class TestEquivalenceReport:
