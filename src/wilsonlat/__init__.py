@@ -15,13 +15,12 @@ from .ring import (CanonicalDiscrete, CanonicalFinite, CanonicalReal,
                    canonical_finite, ext_gcd, hnf_real, lattice_points_finite)
 from .signal import (DiscreteWindow, OperatorError, centered_dft, dft, herm_inv_sqrt,
                      idft, inner, norm, real_spectrum, tf_shift, unitary_dft)
-from .wilson import (EquivalenceReport, PhiParams, WilsonSequenceFamily,
-                     WilsonSystem, equivalence_report, gram, gram_deviation,
-                     gram_discrete, periodized_gram, phi_inverse, phi_map,
-                     phi_params_discrete, wilson_continuous_demo,
-                     wilson_discrete, wilson_finite, wilson_index_set, wilson_pair)
+from .wilson import (EquivalenceReport, WilsonSequenceFamily, WilsonSystem,
+                     chirp_discrete, equivalence_report, gram, gram_deviation,
+                     wilson_continuous_demo, wilson_discrete, wilson_finite,
+                     wilson_index_set, wilson_pair)
 from .zak import (FrameSymbol, cond_correlation, cond_correlation_discrete,
-                  cond_quadrature, correlation_sums_discrete, frame_symbol)
+                  cond_quadrature, frame_symbol)
 
 __version__ = "0.1.0"
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import gabor, metaplectic, ring, wilson, zak
 from .rng import SplitMix64
-from .signal import (DEFAULT_TOL, read_window_csv, unitary_dft, write_samples,
-                     write_window_csv)
+from .signal import (DEFAULT_TOL, DiscreteWindow, read_window_csv, unitary_dft,
+                     write_samples, write_window_csv)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -96,10 +96,14 @@ def cmd_gabor(args, t0: float) -> int:
     lat = parse_lattice(args.lattice)
     g = read_window(args.window, lat)
     gt = gabor.tighten(g, lat)
+    tight_lat = lat
     if args.fourier_twist:
+        # the DFT maps (x, y) to (y, -x), so gt is tight over the image lattice
         gt = unitary_dft(gt)
+        tight_lat = ring.canonical_finite(ring.GeneratorMatrix(
+            0, lat.p, -lat.time_step, -lat.b, domain="finite", L=lat.L))
     write_window_csv(args.out, gt)
-    dev = gabor.spectral_deviation(gt, lat)
+    dev = gabor.spectral_deviation(gt, tight_lat)
     emit({"command": "gabor tighten", "lattice": lat.to_json(),
           "tight_deviation": dev, "out": args.out}, t0)
     return EXIT_OK
@@ -208,6 +212,19 @@ def cmd_selftest(args, t0: float) -> int:
     ch, _ = zak.cond_correlation(g, 2, tol)
     checks["zak_criteria"] = qh and ch
 
+    # l^2(Z) Wilson bases on two sheared lattices from a chirped painless window
+    ok = True
+    for N, b in ((8, 1), (12, 4)):
+        c, _, n0 = ring.ext_gcd(N // 2, b)
+        l = np.arange(1 - c, c)
+        h = DiscreteWindow(1 - c, np.cos(np.pi * l / (2 * c)) / np.sqrt(c))
+        elems = [e for _, e in wilson.wilson_discrete(
+            wilson.chirp_discrete(h, n0, c, N), N, b).elements(range(-4, 5))]
+        lo, hi = min(e.start for e in elems), max(e.stop for e in elems)
+        M = np.array([e.sample(lo, hi) for e in elems])
+        ok = ok and np.max(np.abs(M @ M.conj().T - np.eye(len(M)))) <= tol
+    checks["sequence_wilson_onb"] = bool(ok)
+
     passed = all(v for v in checks.values() if isinstance(v, bool))
     emit({"command": "selftest", "seed": args.seed, "checks": checks,
           "passed": passed}, t0)
@@ -256,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     gt.add_argument("--window", required=True)
     gt.add_argument("--out", required=True)
     gt.add_argument("--fourier-twist", action="store_true",
-                    help="apply the unitary DFT to the tight window")
+                    help="apply the unitary DFT to the tight window; tight_deviation "
+                         "is then measured over the DFT image of the lattice")
     gt.set_defaults(func=cmd_gabor)
 
     z = sub.add_parser("zak", help="Zak-domain tightness criteria")

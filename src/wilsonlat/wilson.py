@@ -33,9 +33,15 @@ row blocks on and right of the diagonal (G is Hermitian) whose four terms
 hold about ``SCAN_BLOCK`` entries, and at most max(SCAN_BLOCK, 4L) when one
 row is wider: O(L^2) time and O(L) memory, no L x L array.  ``gram`` is the dense oracle.
 
-Sequence setting.  The same rule for a lattice (N/2, b, 1/N) in Z x T
-through the unimodular index map phi (``phi_params_discrete``), with m
-unbounded; elements are finitely supported sequences.
+Sequence setting.  With c = gcd(N/2, b) and (N/2) m0 + b n0 = c
+(``ext_gcd``), a lattice (N/2, b, 1/N) in Z x T is
+{(m c, m n0/N + n/(2c))}, and the chirp chi(l) = e^{pi i n0 l^2/(c N)}
+(``chirp_discrete``) maps the rectangle (c, 0, 1/(2c)) onto it, each atom
+up to a unimodular phase.  ``WilsonSequenceFamily`` element (m, n), m in Z
+and 0 <= n <= c, is chi times the rectangular element (m, n) of
+h = conj(chi) g by ``wilson_pair`` with top row c, so the family is an
+orthonormal basis of l^2(Z) exactly when the rectangular one of h is; the
+spectrum hypothesis applies to h.  For b = 0, c = N/2 and chi = 1.
 
 The Gram matrix of a Wilson system equals the identity exactly when the
 underlying window generates a tight frame with bound 2 and the spectrum
@@ -59,52 +65,6 @@ from .zak import ambiguity_table
 
 # complex entries per temporary of the Gram scan (module docstring)
 SCAN_BLOCK = 1 << 14
-
-
-@dataclass(frozen=True)
-class PhiParams:
-    """Unimodular index map (m, n) -> (m m0 - k1 n, m n0 + k2 n).
-
-    For b = 0 the map is the identity.  The determinant m0 k2 + n0 k1
-    always equals 1, so the map is a bijection of Z^2.
-    """
-
-    b: int
-    m0: int = 0
-    n0: int = 0
-    k1: int = 0  # b / c
-    k2: int = 0  # (N/2) / c
-
-    def __post_init__(self):
-        if self.b != 0 and self.m0 * self.k2 + self.n0 * self.k1 != 1:
-            raise LatticeError("inconsistent PhiParams")
-
-
-def phi_params_discrete(N: int, b: int) -> PhiParams:
-    if N <= 0 or N % 2:
-        raise LatticeError("N must be even and positive")
-    if not 0 <= b < N // 2:
-        raise LatticeError("b out of range [0, N/2)")
-    if b == 0:
-        return PhiParams(0)
-    half = N // 2
-    # Bezout pair with (N/2) m0 + b n0 = c = gcd(N/2, b)
-    c, m0, n0 = ext_gcd(half, b)
-    return PhiParams(b, m0, n0, b // c, half // c)
-
-
-def phi_map(m, n, pp: PhiParams) -> tuple:
-    """phi(m, n) for ints or elementwise for integer arrays."""
-    if pp.b == 0:
-        return (m, n)
-    return (m * pp.m0 - pp.k1 * n, m * pp.n0 + pp.k2 * n)
-
-
-def phi_inverse(k: int, l: int, pp: PhiParams) -> tuple[int, int]:
-    if pp.b == 0:
-        return (k, l)
-    # inverse of the determinant-1 matrix [[m0, -k1], [n0, k2]]
-    return (pp.k2 * k + pp.k1 * l, -pp.n0 * k + pp.m0 * l)
 
 
 def _index_arrays(L: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,52 +209,58 @@ def gram_deviation(sys: WilsonSystem) -> float:
 
 # -- sequence setting ---------------------------------------------------------
 
+def chirp_discrete(f: DiscreteWindow, n0: int, c: int, N: int) -> DiscreteWindow:
+    """Pointwise chirp f(k) e^{pi i (n0/(c N)) k^2} on a sequence, with the
+    exponent reduced mod 2 c N in integers."""
+    if c == 0 or N == 0:
+        raise ValueError("c and N must be nonzero")
+    k = np.arange(f.start, f.stop)
+    phase = np.pi * (n0 * k * k % (2 * c * N)) / (c * N)
+    return DiscreteWindow(f.start, f.values * np.exp(1j * phase))
+
+
 class WilsonSequenceFamily:
     """Lazy Wilson system over a lattice (N/2, b, 1/N) in Z x T.
 
-    ``element(m, n)`` is defined for any integer m and 0 <= n <= N/2 and
-    returns a finitely supported sequence; the modulation n/N is realized
-    as e^{2 pi i l n / N}.
+    ``element(m, n)`` is defined for any integer m and 0 <= n <= c =
+    gcd(N/2, b): the chirp chi times the element (m, n) of the rectangle
+    (c, 0, 1/(2c)) for h = conj(chi) g (module docstring), a finitely
+    supported sequence.
     """
 
     def __init__(self, g: DiscreteWindow, N: int, b: int):
-        self.pp = phi_params_discrete(N, b)  # validates N and b
-        self.g = g
-        self.N = N
-        self.b = b
+        if N <= 0 or N % 2:
+            raise LatticeError("N must be even and positive")
+        if not 0 <= b < N // 2:
+            raise LatticeError("b out of range [0, N/2)")
+        self.c, _, self.n0 = ext_gcd(N // 2, b)
+        self.g, self.N, self.b = g, N, b
+        self.h = chirp_discrete(g, -self.n0, self.c, N)
 
     def _atom(self, mm: int, nn: int) -> DiscreteWindow:
-        shift = mm * (self.N // 2) + nn * self.b
-        l = np.arange(self.g.start + shift, self.g.stop + shift)
-        vals = self.g.values * np.exp(2j * np.pi * l * nn / self.N)
-        return DiscreteWindow(self.g.start + shift, vals)
+        """h shifted by mm c and modulated by e^{2 pi i l nn / (2c)}."""
+        shift = mm * self.c
+        l = np.arange(self.h.start + shift, self.h.stop + shift)
+        vals = self.h.values * np.exp(2j * np.pi * l * nn / (2 * self.c))
+        return DiscreteWindow(self.h.start + shift, vals)
 
     def element(self, m: int, n: int) -> DiscreteWindow:
-        if not 0 <= n <= self.N // 2:
-            raise ValueError("n out of range [0, N/2]")
-        m1, c1, c2 = wilson_pair(m, n, self.N // 2)
-        atoms = [(c, self._atom(*phi_map(mm, nn, self.pp)))
-                 for c, mm, nn in ((c1, m1, n), (c2, m, -n)) if c != 0]
+        if not 0 <= n <= self.c:
+            raise ValueError("n out of range [0, gcd(N/2, b)]")
+        m1, c1, c2 = wilson_pair(m, n, self.c)
+        atoms = [(c, self._atom(mm, nn)) for c, mm, nn in ((c1, m1, n), (c2, m, -n)) if c != 0]
         lo = min(e.start for _, e in atoms)
         hi = max(e.stop for _, e in atoms)
-        return DiscreteWindow(lo, sum(c * e.sample(lo, hi) for c, e in atoms))
+        rect = DiscreteWindow(lo, sum(c * e.sample(lo, hi) for c, e in atoms))
+        return chirp_discrete(rect, self.n0, self.c, self.N)
 
     def elements(self, m_range) -> list[tuple[tuple[int, int], DiscreteWindow]]:
         """All elements with m in m_range, (n, m)-lex order."""
-        return [((m, n), self.element(m, n)) for n in range(self.N // 2 + 1) for m in m_range]
+        return [((m, n), self.element(m, n)) for n in range(self.c + 1) for m in m_range]
 
 
 def wilson_discrete(g: DiscreteWindow, N: int, b: int) -> WilsonSequenceFamily:
     return WilsonSequenceFamily(g, N, b)
-
-
-def gram_discrete(elements) -> np.ndarray:
-    """Gram under the counting inner product sum_l f(l) conj(g(l))."""
-    wins = [w for _, w in elements] if elements and isinstance(elements[0], tuple) else list(elements)
-    lo = min(w.start for w in wins)
-    hi = max(w.stop for w in wins)
-    M = np.array([w.sample(lo, hi) for w in wins])
-    return M @ M.conj().T
 
 
 # -- four-way equivalence -----------------------------------------------------
@@ -460,15 +426,3 @@ def wilson_continuous_demo(nu: float, L: int) -> ContinuousDemoReport:
     mean_f = np.sum(f * np.abs(G) ** 2) / massf
     freq_spread = float(np.sqrt(np.sum((f - mean_f) ** 2 * np.abs(G) ** 2) / massf))
     return ContinuousDemoReport(L, nu, g, hex_dev, rect_dev, time_spread, freq_spread)
-
-
-def periodized_gram(family: WilsonSequenceFamily, m_range, L: int) -> np.ndarray:
-    """Counting-measure Gram of the L-periodized sequence elements.
-
-    Oracle for sequence/finite consistency: when every element is
-    supported well inside one period, this equals the sequence Gram
-    entrywise.
-    """
-    elems = family.elements(m_range)
-    M = np.array([w.periodize(L) for _, w in elems])
-    return M @ M.conj().T

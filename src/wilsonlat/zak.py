@@ -39,9 +39,13 @@ V_e, which the chirp turns into a plain correlation of the W_e:
 
 one length-q FFT along j and one length-2p FFT along r.
 
-The sequence-domain analogue checks the correlation condition for the
-Fourier series of a finitely supported sequence on a sample grid; both
-sides are trigonometric polynomials, so enough samples make it exact.
+The sequence-domain analogue checks the correlation condition, with
+conj ghat, for the Fourier series ghat(t) = sum_l g(l) e^{-2 pi i l t} of
+a finitely supported sequence, on the grid t = i/(N T).  The sums are
+trigonometric polynomials, and sampling ghat at t + k/N is the DFT of the
+N T-periodization, so they are exactly L^2 ifft_j(d / (2T))[j, i], i < T,
+for the symbol d of that periodization over (N T, T, 0) (Sondergaard,
+"Gabor frames by sampling and periodization").
 """
 
 from __future__ import annotations
@@ -119,38 +123,21 @@ def cond_correlation(g, p: int, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     return dev <= tol, dev
 
 
-def correlation_sums_discrete(g: DiscreteWindow, N: int, t_samples: int | None = None):
-    """Sequence-domain correlation sums at sampled t.
-
-    Returns (ts, sums) where sums[j, i] = sum_{l=0}^{N-1}
-    ghat(t_i + l/N) ghat(t_i + (l + 2j)/N) for j = 0..N/2-1, with
-    ghat(t) = sum_l g(l) e^{-2 pi i l t}.  The sums are (1/N)-periodic in
-    t and trigonometric polynomials of degree at most twice the support
-    width, so the default sample count is exact.
-    """
-    if N <= 0 or N % 2:
-        raise ValueError("N must be even and positive")
-    width = len(g.values) - 1
-    if t_samples is None:
-        # degree of the sums in e^{2 pi i N t} is at most ceil(2*width/N)
-        t_samples = max(64, 2 * (2 * width // N + 1) + 1)
-    ts = np.arange(t_samples) / (N * t_samples)
-    # X[l, i] = ghat(t_i + l/N) is the DFT of the N T-periodization; with
-    # F = fft_l(X), sum_l X[l] X[l + m] is row m of ifft(F F[-nu])
-    F = np.fft.fft(np.fft.fft(g.periodize(N * t_samples)).reshape(N, t_samples), axis=0)
-    sums = np.fft.ifft(F * F[-np.arange(N)], axis=0)[::2]
-    return ts, sums
-
-
 def cond_correlation_discrete(g: DiscreteWindow, N: int,
-                              t_samples: int | None = None,
                               tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Sequence-domain correlation criterion against N delta_{j,0}.
 
-    The shift 2j/N repeats with period N/2 in j, so j runs over
-    0..N/2-1 (j and j + N/2 index the same left-hand side).
+    The sums sum_{l=0}^{N-1} ghat(t + l/N) conj ghat(t + (l + 2j)/N),
+    j = 0..N/2-1, are read at t = i/(N T), i < T, from the frame symbol of
+    the N T-periodization over (N T, T, 0) (module docstring).
     """
-    _, sums = correlation_sums_discrete(g, N, t_samples)
+    if N <= 0 or N % 2:
+        raise ValueError("N must be even and positive")
+    # degree of the sums in e^{2 pi i N t} is at most ceil(2*width/N)
+    T = max(64, 2 * (2 * (len(g.values) - 1) // N + 1) + 1)
+    L = N * T
+    d = frame_symbol(g.periodize(L), CanonicalFinite(L, T, 0)).values
+    sums = L**2 * np.fft.ifft(d[:, :T] / (2 * T), axis=0)
     sums[0] -= N
     dev = float(np.max(np.abs(sums)))
     return dev <= tol, dev

@@ -1,11 +1,15 @@
-"""Dense and literal oracles for the metaplectic layer, and the sequence
-chirp and continuous factorization data that only the tests use.
+"""Dense and literal oracles for the metaplectic layer, the sequence
+setting and the continuous factorization data that only the tests use.
 
 ``dense_metaplectic`` is the kernel sum U f(k) = sum_l f(alpha k + beta l)
 psi(k, l) normalized to a unitary, the definition that the factored
 ``wilsonlat.metaplectic`` operator is checked against; ``candidates`` is
 the preference-ordered box search that ``sigma_params`` reproduces;
-``phi_params_finite`` is the finite index map of the Wilson gather.
+``phi_params_finite`` and ``phi_params_discrete`` are the unimodular index
+maps phi of the finite Wilson gather and of the sequence lattice;
+``correlation_sums_discrete`` is the sequence correlation fold without
+the conjugate, and ``gram_discrete`` / ``periodized_gram`` are the
+counting-measure Grams of sequence families.
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from wilsonlat.metaplectic import UNITARY_TOL, ParameterSearchError, SigmaParams
-from wilsonlat.ring import CanonicalFinite, CanonicalReal, LatticeError
+from wilsonlat.ring import CanonicalFinite, CanonicalReal, LatticeError, ext_gcd
 from wilsonlat.signal import DiscreteWindow
-from wilsonlat.wilson import PhiParams
 
 
 def dense_metaplectic(sp: SigmaParams) -> np.ndarray:
@@ -80,15 +83,6 @@ def candidates(lat: CanonicalFinite, box: int):
                         s=c, t=-(x0 * y0) // c, L=L, p=p, b=b,
                         aligned=(c == u), sign_adjusted=not sign_ok)
             for alpha, beta, v, c, m0, n0, x0, y0, sign_ok in zip(*cols))
-
-
-def chirp_discrete(f: DiscreteWindow, n0: int, c: int, N: int) -> DiscreteWindow:
-    """Pointwise chirp U f(k) = f(k) e^{pi i (n0/(c N)) k^2} on a sequence."""
-    if c == 0 or N == 0:
-        raise ValueError("c and N must be nonzero")
-    k = np.arange(f.start, f.stop)
-    return DiscreteWindow(f.start, f.values * np.exp(1j * np.pi * n0 * k * k / (c * N)))
-
 
 
 @dataclass(frozen=True)
@@ -157,3 +151,93 @@ def phi_params_finite(sp: SigmaParams) -> PhiParams:
     if v % sp.gcd_c or u_signed % sp.gcd_c:
         raise LatticeError("inconsistent PhiParams")
     return PhiParams(sp.b, sp.m0, sp.n0, v // sp.gcd_c, u_signed // sp.gcd_c)
+
+
+@dataclass(frozen=True)
+class PhiParams:
+    """Unimodular index map (m, n) -> (m m0 - k1 n, m n0 + k2 n).
+
+    For b = 0 the map is the identity.  The determinant m0 k2 + n0 k1
+    always equals 1, so the map is a bijection of Z^2.
+    """
+
+    b: int
+    m0: int = 0
+    n0: int = 0
+    k1: int = 0  # b / c
+    k2: int = 0  # (N/2) / c
+
+    def __post_init__(self):
+        if self.b != 0 and self.m0 * self.k2 + self.n0 * self.k1 != 1:
+            raise LatticeError("inconsistent PhiParams")
+
+
+def phi_params_discrete(N: int, b: int) -> PhiParams:
+    if N <= 0 or N % 2:
+        raise LatticeError("N must be even and positive")
+    if not 0 <= b < N // 2:
+        raise LatticeError("b out of range [0, N/2)")
+    if b == 0:
+        return PhiParams(0)
+    half = N // 2
+    # Bezout pair with (N/2) m0 + b n0 = c = gcd(N/2, b)
+    c, m0, n0 = ext_gcd(half, b)
+    return PhiParams(b, m0, n0, b // c, half // c)
+
+
+def phi_map(m, n, pp: PhiParams) -> tuple:
+    """phi(m, n) for ints or elementwise for integer arrays."""
+    if pp.b == 0:
+        return (m, n)
+    return (m * pp.m0 - pp.k1 * n, m * pp.n0 + pp.k2 * n)
+
+
+def phi_inverse(k: int, l: int, pp: PhiParams) -> tuple[int, int]:
+    if pp.b == 0:
+        return (k, l)
+    # inverse of the determinant-1 matrix [[m0, -k1], [n0, k2]]
+    return (pp.k2 * k + pp.k1 * l, -pp.n0 * k + pp.m0 * l)
+
+
+def correlation_sums_discrete(g: DiscreteWindow, N: int, t_samples: int | None = None):
+    """Sequence-domain correlation sums at sampled t.
+
+    Returns (ts, sums) where sums[j, i] = sum_{l=0}^{N-1}
+    ghat(t_i + l/N) ghat(t_i + (l + 2j)/N) for j = 0..N/2-1, with
+    ghat(t) = sum_l g(l) e^{-2 pi i l t}.  The sums are (1/N)-periodic in
+    t and trigonometric polynomials of degree at most twice the support
+    width, so the default sample count is exact.
+    """
+    if N <= 0 or N % 2:
+        raise ValueError("N must be even and positive")
+    width = len(g.values) - 1
+    if t_samples is None:
+        # degree of the sums in e^{2 pi i N t} is at most ceil(2*width/N)
+        t_samples = max(64, 2 * (2 * width // N + 1) + 1)
+    ts = np.arange(t_samples) / (N * t_samples)
+    # X[l, i] = ghat(t_i + l/N) is the DFT of the N T-periodization; with
+    # F = fft_l(X), sum_l X[l] X[l + m] is row m of ifft(F F[-nu])
+    F = np.fft.fft(np.fft.fft(g.periodize(N * t_samples)).reshape(N, t_samples), axis=0)
+    sums = np.fft.ifft(F * F[-np.arange(N)], axis=0)[::2]
+    return ts, sums
+
+
+def gram_discrete(elements) -> np.ndarray:
+    """Gram under the counting inner product sum_l f(l) conj(g(l))."""
+    wins = [w for _, w in elements] if elements and isinstance(elements[0], tuple) else list(elements)
+    lo = min(w.start for w in wins)
+    hi = max(w.stop for w in wins)
+    M = np.array([w.sample(lo, hi) for w in wins])
+    return M @ M.conj().T
+
+
+def periodized_gram(family, m_range, L: int) -> np.ndarray:
+    """Counting-measure Gram of the L-periodized sequence elements.
+
+    Oracle for sequence/finite consistency: when every element is
+    supported well inside one period, this equals the sequence Gram
+    entrywise.
+    """
+    elems = family.elements(m_range)
+    M = np.array([w.periodize(L) for _, w in elems])
+    return M @ M.conj().T

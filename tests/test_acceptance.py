@@ -10,7 +10,8 @@ from math import gcd
 import numpy as np
 import pytest
 
-from oracles import phi_params_finite
+from oracles import (gram_discrete, periodized_gram, phi_inverse, phi_map,
+                     phi_params_discrete, phi_params_finite)
 from wilsonlat.gabor import gabor_system, is_tight, tighten, tightness_deviation
 from wilsonlat.metaplectic import (intertwining_phase, metaplectic_matrix,
                                    sigma_params)
@@ -19,8 +20,6 @@ from wilsonlat.ring import (CanonicalFinite, GeneratorMatrix, canonical_finite,
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import DiscreteWindow, tf_shift
 from wilsonlat.wilson import (equivalence_report, gram, gram_deviation,
-                              gram_discrete, periodized_gram, phi_inverse,
-                              phi_map, phi_params_discrete,
                               wilson_continuous_demo, wilson_discrete,
                               wilson_finite)
 from wilsonlat.zak import cond_correlation, cond_quadrature

@@ -135,6 +135,13 @@ def test_selftest_deterministic(capsys):
     assert out3 != out1
 
 
+def test_selftest_checks_sequence_wilson_basis(capsys):
+    for seed in ("0", "1", "17"):
+        code, out, _ = run(capsys, "selftest", "--seed", seed)
+        assert code == 0
+        assert json.loads(out)["checks"]["sequence_wilson_onb"] is True
+
+
 def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("WILSON_TOL", "1e-3")
     from wilsonlat.cli import default_tol
@@ -239,8 +246,10 @@ def test_gabor_tighten_fourier_twist(tmp_path, capsys):
     write_window_csv(win, g)
     code = main(["gabor", "tighten", "--lattice", "16,4,0", "--window", str(win),
                  "--out", str(out), "--fourier-twist"])
-    _ = capsys.readouterr()
+    report = json.loads(capsys.readouterr().out)
     assert code == 0
+    # tightness moves to the DFT image of the lattice, where it is measured
+    assert report["tight_deviation"] <= 1e-12
     assert len(read_window_csv(out)) == 16
     want = unitary_dft(tighten(g, CanonicalFinite(16, 4, 0)))
     assert np.max(np.abs(read_window_csv(out) - want)) <= 1e-12

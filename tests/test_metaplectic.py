@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wilsonlat
-from oracles import (candidates, chirp_discrete, continuous_factor, dense_metaplectic,
-                     phi_params_finite)
+from oracles import candidates, continuous_factor, dense_metaplectic, phi_params_finite
 from wilsonlat import cli, metaplectic, wilson
 from wilsonlat.gabor import tighten
 from wilsonlat.metaplectic import (ParameterSearchError, SigmaParams,
@@ -21,6 +20,7 @@ from wilsonlat.metaplectic import (ParameterSearchError, SigmaParams,
 from wilsonlat.ring import CanonicalFinite, CanonicalReal, LatticeError
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import DiscreteWindow, centered_dft, tf_shift
+from wilsonlat.wilson import chirp_discrete
 
 F = Fraction
 
@@ -132,7 +132,7 @@ class TestIntertwining:
 
     def test_sigma_maps_lattice_to_rectangle(self):
         # sigma(point of phi(m, n)) = (m c, n L/(2c)) mod L, exact integers
-        from wilsonlat.wilson import phi_map
+        from oracles import phi_map
         for lat in all_lattices():
             if lat.b == 0:
                 continue
@@ -149,7 +149,7 @@ class TestIntertwining:
 
     def test_phase_independent_of_sign(self):
         # C at the points of phi(m, n) and phi(m, -n) agree exactly
-        from wilsonlat.wilson import phi_map
+        from oracles import phi_map
         for lat in all_lattices():
             if lat.b == 0:
                 continue

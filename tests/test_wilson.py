@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import phi_params_finite
+from oracles import (PhiParams, gram_discrete, periodized_gram, phi_inverse, phi_map,
+                     phi_params_discrete, phi_params_finite)
 from wilsonlat.gabor import FrameError, tighten
 from wilsonlat.metaplectic import metaplectic_matrix, sigma_params
 from wilsonlat.ring import CanonicalFinite, LatticeError
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import DiscreteWindow, tf_shift
-from wilsonlat.wilson import (PhiParams, equivalence_report, gram,
-                              gram_deviation, gram_discrete, periodized_gram,
-                              phi_inverse, phi_map, phi_params_discrete,
+from wilsonlat.wilson import (equivalence_report, gram, gram_deviation,
                               wilson_continuous_demo,
                               wilson_discrete, wilson_finite, wilson_index_set,
                               wilson_pair)
@@ -318,7 +317,7 @@ class TestWilsonDiscrete:
         for N, b in ((8, 0), (8, 1), (12, 2)):
             fam = wilson_discrete(g, N, b)
             for m in (-2, 0, 3):
-                for n in (0, N // 2):
+                for n in (0, fam.c):
                     e = fam.element(m, n)
                     assert len(e.values) == 3 and np.allclose(np.abs(e.values), np.abs(g.values))
 
@@ -327,15 +326,15 @@ class TestWilsonDiscrete:
         fam = wilson_discrete(g, 8, 0)
         m, n = 1, 2   # m+n odd -> i/sqrt2 difference
         e = fam.element(m, n)
-        a1 = fam._atom(*phi_map(m, n, fam.pp))
-        a2 = fam._atom(*phi_map(m, -n, fam.pp))
+        a1 = fam._atom(m, n)
+        a2 = fam._atom(m, -n)
         lo, hi = e.start, e.stop
         want = 1j * (a1.sample(lo, hi) - a2.sample(lo, hi)) / np.sqrt(2)
         assert np.allclose(e.sample(lo, hi), want)
         m, n = 1, 1   # m+n even -> 1/sqrt2 sum
         e = fam.element(m, n)
-        a1 = fam._atom(*phi_map(m, n, fam.pp))
-        a2 = fam._atom(*phi_map(m, -n, fam.pp))
+        a1 = fam._atom(m, n)
+        a2 = fam._atom(m, -n)
         lo, hi = e.start, e.stop
         want = (a1.sample(lo, hi) + a2.sample(lo, hi)) / np.sqrt(2)
         assert np.allclose(e.sample(lo, hi), want)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import correlation_sums_discrete
 from wilsonlat.gabor import gabor_system, is_tight, tighten
 from wilsonlat.ring import CanonicalFinite
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import DiscreteWindow, dft
 from wilsonlat.zak import (cond_correlation, cond_correlation_discrete,
-                           cond_quadrature, correlation_sums_discrete, frame_symbol)
+                           cond_quadrature, frame_symbol)
 
 
 def delta(L):
@@ -204,6 +205,26 @@ class TestCorrelationDiscrete:
                         got_ts, got = correlation_sums_discrete(g, N, t_samples)
                         assert np.array_equal(got_ts, ts)
                         assert np.max(np.abs(got - want)) <= 1e-13 * scale, (N, width, start)
+
+    def test_phase_rotated_delta_is_tight(self):
+        # the sums pair ghat with conj ghat, so a unimodular factor cancels
+        for phase in (1j, np.exp(1j * np.pi / 4)):
+            holds, dev = cond_correlation_discrete(DiscreteWindow(3, [phase]), 2)
+            assert holds and dev <= 1e-12, phase
+
+    def test_matches_oracle_fold_on_symmetric_real_windows(self):
+        # a real window symmetric about 0 has a real ghat, where the fold
+        # without the conjugate gives the same sums
+        rng = SplitMix64(74)
+        for N in range(2, 17, 2):
+            for half in (0, 1, 2, 4, 10, 20):
+                vals = rng.reals(2 * half + 1)
+                g = DiscreteWindow(-half, 0.5 * (vals + vals[::-1]))
+                _, sums = correlation_sums_discrete(g, N)
+                sums[0] -= N
+                scale = N * np.sum(np.abs(g.values)) ** 2
+                _, dev = cond_correlation_discrete(g, N)
+                assert abs(dev - float(np.max(np.abs(sums)))) <= 1e-13 * scale, (N, half)
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
