@@ -5,10 +5,10 @@ Reports are JSON on stdout with sorted keys, so identical inputs (and
 --seed) produce byte-identical output; wall time goes to stderr.  Exit
 codes: 0 success / verdict true, 1 verdict false, 2 usage error (a bad
 flag, WILSON_TOL or file: missing, unreadable, malformed, unwritable; a
-window whose length is not the lattice's L; a --lattice with L > 2**20; a
-demo-hex --L that is not the square of an even integer in [64, 4096] or a
---nu that is not finite positive), 3 numerical failure.  WILSON_TOL
-(finite > 0) replaces the 1e-9 default.
+window whose length is not the lattice's L; a --lattice with L > 2**20, or
+with L > 4096 for wilson build; a demo-hex --L that is not the square of an
+even integer in [64, 4096] or a --nu that is not finite positive), 3
+numerical failure.  WILSON_TOL (finite > 0) replaces the 1e-9 default.
 """
 
 from __future__ import annotations
@@ -132,6 +132,9 @@ def cmd_sigma(args, t0: float) -> int:
 
 def cmd_wilson_build(args, t0: float) -> int:
     lat = parse_lattice(args.lattice)
+    if lat.L > wilson.DENSE_MAX_L:
+        raise SystemExit(f"wilson build gathers an L x L basis; L = {lat.L} "
+                         f"exceeds {wilson.DENSE_MAX_L}")
     g = read_window(args.window, lat)
     sys_ = wilson.wilson_finite(g, lat)
     with open(args.out, "w") as fh:
@@ -154,9 +157,9 @@ def cmd_wilson_verify(args, t0: float) -> int:
 
 def cmd_demo_hex(args, t0: float) -> int:
     root = math.isqrt(max(args.L, 0))
-    if not 64 <= args.L <= wilson.DEMO_MAX_L or root * root != args.L or root % 2:
+    if not 64 <= args.L <= wilson.DENSE_MAX_L or root * root != args.L or root % 2:
         raise SystemExit("--L must be the square of an even integer in "
-                         f"[64, {wilson.DEMO_MAX_L}], got {args.L}")
+                         f"[64, {wilson.DENSE_MAX_L}], got {args.L}")
     if not 0 < args.nu < math.inf:
         raise SystemExit(f"--nu must be a finite positive number, got {args.nu}")
     rep = wilson.wilson_continuous_demo(args.nu, args.L)
@@ -218,7 +221,7 @@ def cmd_selftest(args, t0: float) -> int:
         c, _, n0 = ring.ext_gcd(N // 2, b)
         l = np.arange(1 - c, c)
         h = DiscreteWindow(1 - c, np.cos(np.pi * l / (2 * c)) / np.sqrt(c))
-        elems = [e for _, e in wilson.wilson_discrete(
+        elems = [e for _, e in wilson.WilsonSequenceFamily(
             wilson.chirp_discrete(h, n0, c, N), N, b).elements(range(-4, 5))]
         lo, hi = min(e.start for e in elems), max(e.stop for e in elems)
         M = np.array([e.sample(lo, hi) for e in elems])

@@ -14,9 +14,8 @@ Verdicts never build the family.  The frame bounds (A, B) are the extreme
 eigenvalues of S, read from the frame symbol d of :mod:`wilsonlat.zak` in
 O(L log L), and the tightness deviation is max|d - 2| = ||S - 2I||_2,
 never below the entrywise max|S - 2I| of the dense oracle
-``tightness_deviation``.  Inner products of atoms come from the lattice
-ambiguity table of :mod:`wilsonlat.zak`.  ``gabor_system``,
-``frame_operator`` and ``tightness_deviation`` are the dense oracles.
+``tightness_deviation``.  ``gabor_system`` and ``frame_operator`` are the
+other dense oracles.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ring import CanonicalFinite
-from .signal import COND_FLOOR, DEFAULT_TOL, FrameError, as_window, tf_shift
+from .signal import COND_FLOOR, FrameError, as_window, tf_shift
 from .zak import frame_symbol
 
 
@@ -39,10 +38,6 @@ class GaborSystem:
     @property
     def L(self) -> int:
         return self.lattice.L
-
-    def element(self, m: int, n: int) -> np.ndarray:
-        N = self.L // self.lattice.p
-        return self.elements[(m % (2 * self.lattice.p)) * N + (n % N)]
 
 
 def gabor_system(g, lat: CanonicalFinite) -> GaborSystem:
@@ -63,12 +58,6 @@ def tightness_deviation(sys: GaborSystem, bound: float = 2.0) -> float:
     """Entrywise max|S - bound I| of the dense frame operator (oracle)."""
     S = frame_operator(sys)
     return float(np.max(np.abs(S - bound * np.eye(sys.L))))
-
-
-def is_tight(sys: GaborSystem, bound: float = 2.0, tol: float = DEFAULT_TOL) -> bool:
-    if bound <= 0:
-        raise ValueError("bound must be positive")
-    return tightness_deviation(sys, bound) <= tol
 
 
 def frame_bounds(g, lat: CanonicalFinite) -> tuple[float, float]:

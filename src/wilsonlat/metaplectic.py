@@ -102,11 +102,6 @@ class SigmaParams:
         """Frequency step of the rectangular image lattice (L, q, 0)."""
         return self.L // (2 * self.gcd_c)
 
-    def map_point(self, x: int, y: int) -> tuple[int, int]:
-        """sigma applied to a point of Z_L x Z_L."""
-        return ((self.alpha * x + self.beta * y) % self.L,
-                (self.gamma * x + self.delta * y) % self.L)
-
     def to_json(self) -> dict:
         return {"L": self.L, "p": self.p, "b": self.b,
                 "alpha": self.alpha, "beta": self.beta,
@@ -125,14 +120,6 @@ def _phase(numer, L: int):
     at machine precision even when the raw integers are huge.
     """
     return np.exp(-1j * np.pi * (numer % (2 * L)) / L)
-
-
-def intertwining_phase(sp: SigmaParams, x: int, y: int) -> complex:
-    """C(x, y) for the lattice point (x, y) = (m L/(2p) + n b, n p)."""
-    L = sp.L
-    e = (sp.alpha * sp.gamma * x * x + sp.beta * sp.delta * y * y) * (L + 1) \
-        + 2 * sp.beta * sp.gamma * x * y
-    return _phase(e, L)
 
 
 def _admissible(beta, L: int):

@@ -18,13 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_TOL = 1e-9
-HERMITIAN_TOL = 1e-12
 COND_FLOOR = 1e-10
 REAL_SPECTRUM_TOL = 1e-10
-
-
-class OperatorError(ValueError):
-    """Operator input violates a precondition (not Hermitian, singular...)."""
 
 
 class FrameError(ValueError):
@@ -104,28 +99,6 @@ def norm(f) -> float:
     return float(np.sqrt(abs(inner(f, f))))
 
 
-def is_hermitian(M: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return bool(np.max(np.abs(M - M.conj().T)) <= tol * max(1.0, np.max(np.abs(M))))
-
-
-def herm_inv_sqrt(S: np.ndarray) -> np.ndarray:
-    """Inverse square root of a Hermitian positive definite matrix.
-
-    The result R is Hermitian and satisfies R S R = I.  Dense oracle for
-    the frame-symbol path of :func:`wilsonlat.gabor.tighten`.
-    """
-    S = np.asarray(S, dtype=complex)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise OperatorError("matrix must be square")
-    if not is_hermitian(S):
-        raise OperatorError("matrix is not Hermitian")
-    w, V = np.linalg.eigh(S)
-    if w[0] <= COND_FLOOR * w[-1] or w[-1] <= 0:
-        raise OperatorError("frame lower bound ≈ 0")
-    R = (V * (1.0 / np.sqrt(w))) @ V.conj().T
-    return 0.5 * (R + R.conj().T)
-
-
 @dataclass(frozen=True)
 class DiscreteWindow:
     """Finitely supported sequence on Z: values[i] sits at start + i."""
@@ -144,11 +117,6 @@ class DiscreteWindow:
         """One past the last support index."""
         return self.start + len(self.values)
 
-    def __call__(self, l: int) -> complex:
-        if self.start <= l < self.stop:
-            return complex(self.values[l - self.start])
-        return 0j
-
     def sample(self, lo: int, hi: int) -> np.ndarray:
         """Values on the integer range [lo, hi)."""
         out = np.zeros(hi - lo, dtype=complex)
@@ -163,12 +131,6 @@ class DiscreteWindow:
 
     def scaled(self, c: complex) -> "DiscreteWindow":
         return DiscreteWindow(self.start, c * self.values)
-
-    def ft_at(self, t) -> np.ndarray:
-        """Fourier series sum_l g(l) e^{-2 pi i l t} at real arguments t."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        l = np.arange(self.start, self.stop)
-        return (self.values[None, :] * np.exp(-2j * np.pi * np.outer(t, l))).sum(axis=1)
 
     def periodize(self, L: int) -> np.ndarray:
         """Wrap onto Z_L: out[l] = sum_k g(l + k L)."""

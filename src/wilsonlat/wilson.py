@@ -19,19 +19,27 @@ U^{-1} g up to a unimodular factor per element, and it is an orthonormal
 basis exactly when that one is.  The basis is one gather of time-frequency
 shifts, made only when ``WilsonSystem.basis`` is read.
 
-Gram deviation without the basis.  Element i is c_0^i pi(lambda_0^i) g +
-c_1^i pi(lambda_1^i) g, so by the ambiguity identity of
-:mod:`wilsonlat.zak` every Gram entry is at most four lattice values of V:
+Riesz bounds without the basis.  G = W W^H / L has the spectrum of the
+Wilson frame operator W^H W / L (W is square), which is (S + T)/2 with
+T = (1/L) sum_lambda eps(lambda) pi(lambda) g (pi(A lambda) g)^H over
+Lambda, A = sigma^{-1} diag(1, -1) sigma mod L (the rule's n -> -n) and
+eps = (-1)^{m+n} at sigma lambda = (m c, n q) (``wilson_pair``'s parity).
+Let e_kappa, kappa = (k, r) in Z_a x Z_2p, a = L/(2p), have spectrum
+c(j) e^{2 pi i j k/a} at 2pj + r (the chirp c of :mod:`wilsonlat.zak`).
+There S = diag(d), and <pi(x, l p) g, e_kappa> is proportional to
+Z_{l mod 2}(kappa) Phi(kappa, (x, l p)), Z_0 = W_0, Z_1 = W_1[k + b],
 
-    G_ij = sum_{s,t} c_s^i conj(c_t^j) e^{2 pi i x_t^j (y_s^i - y_t^j) / L}
-           V(lambda_s^i - lambda_t^j),   lambda = (x, y).
+    Phi = e^{2 pi i (-x (r - (l mod 2) p) / L + (b s^2 - s k) / a)},  s = floor(l/2).
 
-``gram_deviation`` reduces every atom to table coordinates (k mod 2p,
-l mod L/p), reads V(lambda_s - lambda_t) from a (4p, 2L/p) table of
-differences through one index subtraction, and scans max|G - I| over
-row blocks on and right of the diagonal (G is Hermitian) whose four terms
-hold about ``SCAN_BLOCK`` entries, and at most max(SCAN_BLOCK, 4L) when one
-row is wider: O(L^2) time and O(L) memory, no L x L array.  ``gram`` is the dense oracle.
+So t = T[kappa, P kappa] = (2p/L^2)(Z_0 conj Z_0(P.) + phi Z_1 conj Z_1(P.))
+is the one entry of row kappa, where the involution P solves Phi(P kappa,
+A lambda) = eps Phi(kappa, lambda) at (a, 0) and (2b, 2p), and phi =
+eps Phi(kappa, .) conj Phi(P kappa, A .) at (b, p).  The spectrum of G is
+that of the blocks [[d(kappa), t], [conj t, d(P kappa)]] / 2, or (d + t)/2
+where P kappa = kappa: ``riesz_bounds`` in O(L log L) time and O(L) memory.
+``gram_deviation`` = max(B_W - 1, 1 - A_W) = ||G - I||_2 is never below the
+entrywise max|G - I| of the dense oracle ``gram``.  For a transported
+real-spectrum window (A_W, B_W) is half the frame bounds.
 
 Sequence setting.  With c = gcd(N/2, b) and (N/2) m0 + b n0 = c
 (``ext_gcd``), a lattice (N/2, b, 1/N) in Z x T is
@@ -42,6 +50,9 @@ and 0 <= n <= c, is chi times the rectangular element (m, n) of
 h = conj(chi) g by ``wilson_pair`` with top row c, so the family is an
 orthonormal basis of l^2(Z) exactly when the rectangular one of h is; the
 spectrum hypothesis applies to h.  For b = 0, c = N/2 and chi = 1.
+``wilson_finite`` of a periodization chirps with sigma's n0 instead; where
+the two n0 differ mod N, as at (N, b) = (8, 1) and (12, 3), the family and
+the finite system are different bases.
 
 The Gram matrix of a Wilson system equals the identity exactly when the
 underlying window generates a tight frame with bound 2 and the spectrum
@@ -61,10 +72,7 @@ from .metaplectic import SigmaParams, apply_continuous_U, meta_finite, sigma_par
 from .ring import CanonicalFinite, LatticeError, ext_gcd
 from .signal import (DEFAULT_TOL, DiscreteWindow, as_window, centered_dft,
                      real_spectrum, tf_shift)
-from .zak import ambiguity_table
-
-# complex entries per temporary of the Gram scan (module docstring)
-SCAN_BLOCK = 1 << 14
+from .zak import frame_symbol
 
 
 def _index_arrays(L: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +109,7 @@ class WilsonSystem:
 
     ``basis`` (rows = elements, (n, m)-lex order over the index set of the
     image rectangle (L, q)) is gathered on first read; :func:`gram_deviation`
-    works from :meth:`atoms` and never reads it.
+    works from the frame symbol and never reads it.
     """
 
     window: np.ndarray = field(repr=False)
@@ -165,46 +173,45 @@ def gram(sys_or_basis) -> np.ndarray:
     return B @ B.conj().T / B.shape[1]
 
 
-def gram_deviation(sys: WilsonSystem) -> float:
-    """max|G - I| of the Wilson Gram, scanned from the lattice ambiguity table.
+def riesz_spectrum(sys: WilsonSystem) -> np.ndarray:
+    """The L eigenvalues of the Wilson Gram from the 2x2 blocks (module
+    docstring), kappa = (k, r) at flat index 2p k + r."""
+    L, p, b, a = sys.lattice.L, sys.lattice.p, sys.lattice.b, sys.lattice.time_step
+    sp, k, r = sys.params, np.arange(a)[:, None], np.arange(2 * p)
 
-    G_ij = sum_{s,t} c_s^i conj(c_t^j) e^{2 pi i x_t^j (y_s^i - y_t^j) / L}
-    V(lambda_s^i - lambda_t^j) (module docstring); G is Hermitian, so only
-    the blocks on and right of the diagonal are formed.
-    """
-    lat = sys.lattice
-    L, p, b, a = lat.L, lat.p, lat.b, lat.time_step
-    rows = L // p
-    # V on differences (dk, dl) in (-2p, 2p) x (-L/p, L/p), flat index
-    # (dk + 2p) 2L/p + dl + L/p = row - col; a negative dl wraps as (dk - 2b, dl + L/p)
-    dk = np.arange(-2 * p, 2 * p)[:, None]
-    dl = np.arange(-rows, rows)
-    V = ambiguity_table(sys.window, lat)[(dk - 2 * b * (dl < 0)) % (2 * p), dl % rows].ravel()
-    # atoms reduced to the table's lattice coordinates K < 2p, l < L/p
-    k, l, c = sys.atoms()
-    K = (k + 2 * b * (l // rows)) % (2 * p)
-    l = l % rows
-    col = K * 2 * rows + l
-    row = col + 4 * p * rows + rows
-    x = (K * a + l * b) % L
-    y = l * p
-    unit = np.exp(2j * np.pi * np.arange(L) / L)
-    cc = c.conj() * unit[-x * y % L]
-    # the four terms (s, t) of a block at once: s on axis 0, t on axis 1
-    row, y, c = row[:, None, :, None], y[:, None, :, None], c[:, :, None]
-    col, x, cc = col[:, None, :], x[:, None, :], cc[:, None, :]
-    worst = 0.0
-    i0 = 0
-    while i0 < L:
-        i1 = min(L, i0 + max(1, SCAN_BLOCK // (4 * (L - i0))))
-        terms = V[row[:, :, i0:i1] - col[:, :, i0:]]
-        terms *= unit[x[:, :, i0:] * y[:, :, i0:i1] % L]
-        terms *= cc[:, :, i0:]
-        G = (c[:, i0:i1] * terms.sum(axis=1)).sum(axis=0)
-        G[np.arange(i1 - i0), np.arange(i1 - i0)] -= 1.0
-        worst = np.maximum(worst, np.max(np.abs(G)))
-        i0 = i1
-    return float(worst)
+    def phase(x, y, k, r):  # L arg Phi mod L; b s^2, s k reduced mod a keep int64 exact
+        s, e = divmod(y // p, 2)
+        return (2 * p * ((b * (s * s % a) - s * k) % a) - x * (r - e * p)) % L
+
+    def flipped(x, y, k, r):  # L arg of eps(lambda) conj Phi(kappa, A lambda) mod L
+        u, v = (sp.alpha * x + sp.beta * y) % L, (sp.gamma * x + sp.delta * y) % L
+        Ax, Ay = (sp.delta * u + sp.beta * v) % L, (-sp.gamma * u - sp.alpha * v) % L
+        return (u // sp.gcd_c + v // sp.q) % 2 * (L // 2) - phase(Ax, Ay, k, r)
+
+    # P is an involution, so L arg Phi(P kappa, lambda) = -flipped(lambda, kappa):
+    # -a Pr at (a, 0) and 2p (b - Pk) - 2b Pr at (2b, 2p)
+    Pr = flipped(a, 0, k, r) % L // a
+    Pk = (2 * p * b - 2 * b * Pr + flipped(2 * b, 2 * p, k, r)) % L // (2 * p)
+    phi = np.exp(2j * np.pi * ((phase(b, p, k, r) + flipped(b, p, Pk, Pr)) % L) / L).ravel()
+    sym = frame_symbol(sys.window, sys.lattice)
+    P, d = (2 * p * Pk + Pr).ravel(), sym.values.ravel()
+    Z0, Z1 = sym.window_zak.ravel(), np.roll(sym.shifted_zak, -b, axis=0).ravel()
+    t = (2 * p / L**2) * (Z0 * Z0[P].conj() + phi * Z1 * Z1[P].conj())
+    root = np.sqrt(((d - d[P]) / 2) ** 2 + np.abs(t) ** 2)
+    i = np.arange(L)
+    return ((d + d[P]) / 2 + np.where(i < P, root, np.where(i > P, -root, t.real))) / 2
+
+
+def riesz_bounds(sys: WilsonSystem) -> tuple[float, float]:
+    """Optimal Riesz bounds (A_W, B_W): the extreme eigenvalues of the Gram."""
+    spectrum = riesz_spectrum(sys)
+    return float(spectrum.min()), float(spectrum.max())
+
+
+def gram_deviation(sys: WilsonSystem) -> float:
+    """||G - I||_2 = max(B_W - 1, 1 - A_W) from the Riesz bounds."""
+    A, B = riesz_bounds(sys)
+    return max(B - 1.0, 1.0 - A)
 
 
 # -- sequence setting ---------------------------------------------------------
@@ -259,10 +266,6 @@ class WilsonSequenceFamily:
         return [((m, n), self.element(m, n)) for n in range(self.c + 1) for m in m_range]
 
 
-def wilson_discrete(g: DiscreteWindow, N: int, b: int) -> WilsonSequenceFamily:
-    return WilsonSequenceFamily(g, N, b)
-
-
 # -- four-way equivalence -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -277,8 +280,9 @@ class EquivalenceReport:
     Each verdict is its deviation <= tol.  The two tightness deviations are
     ||S - 2I||_2 = max|d - 2| over the frame symbol d, i.e. the distance of
     the frame bounds (A, B) from 2; this is never below the entrywise
-    max|S - 2I|.  The two basis deviations are the entrywise max|G - I| of
-    the Wilson Gram (:func:`gram_deviation`).
+    max|S - 2I|.  The two basis deviations are ||G - I||_2 of the Wilson
+    Gram, read from the Riesz bounds (:func:`gram_deviation`); this is never
+    below the entrywise max|G - I|.
     """
 
     sheared_tight: bool
@@ -334,8 +338,10 @@ HEX_A = 3.0 ** (-0.25)          # canonical hexagonal lattice scaled to volume 1
 HEX_B = HEX_A / 2.0
 HEX_D = 3.0 ** 0.25 / 2.0
 M_MAX = N_MAX = 2               # Gram index window |m| <= M_MAX, 0 <= n <= N_MAX
-# the demo's L x L interpolation kernel peaks near 32 L^2 bytes (543 MB RSS at L = 4096)
-DEMO_MAX_L = 4096
+# largest L of every L x L array the CLI makes: the demo's interpolation
+# kernel peaks near 32 L^2 bytes (543 MB RSS at L = 4096), the basis gather
+# of ``wilson build`` at 933 MB RSS at (4096, 4, 1)
+DENSE_MAX_L = 4096
 
 
 @dataclass(frozen=True)
@@ -406,8 +412,8 @@ def wilson_continuous_demo(nu: float, L: int) -> ContinuousDemoReport:
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
-    if not 64 <= L <= DEMO_MAX_L:
-        raise ValueError(f"demo requires 64 <= L <= {DEMO_MAX_L}")
+    if not 64 <= L <= DENSE_MAX_L:
+        raise ValueError(f"demo requires 64 <= L <= {DENSE_MAX_L}")
     root, t = _grid(L)
     h = (2 * nu) ** 0.25 * np.exp(-nu * np.pi * t * t) + 0j
     rect = CanonicalFinite(L, root, 0)

@@ -21,24 +21,6 @@ require ghat real-valued):
                 for j = 0..L/(2p)-1 and all y (the inverse DFT of d / (2p)
                 along j).
 
-The same two tables give the lattice ambiguity function.  With
-pi(x, y) g = tf_shift(g, x, y),
-
-    <pi(x1, y1) g, pi(x2, y2) g> = e^{2 pi i x2 (y1 - y2) / L} V(x1 - x2, y1 - y2),
-    V(x, y) = <pi(x, y) g, g> = L^-2 sum_w G(w) conj G(w + y) e^{-2 pi i x w / L},
-
-and Lambda - Lambda = Lambda, so the 2L values of V on the lattice hold
-the whole 2L x 2L Gabor Gram.  On row l (x = k q + l b, y = l p) the
-factor e^{-2 pi i k q w / L} depends only on r = w mod 2p, and with
-w = 2pj + r the sum over j is a chirp-modulated correlation of the blocks
-V_e, which the chirp turns into a plain correlation of the W_e:
-
-    C_{2s}     = e^{2 pi i b s^2/q} fft_j(|W_0|^2)[s] / q,
-    C_{2s'-1}  = e^{2 pi i b s'^2/q} fft_j(roll_j(W_0, b) conj W_1)[s' mod q] / q,
-    V(k q + l b, l p) = L^-2 fft_r(e^{-2 pi i l b r / L} C_l)[k],
-
-one length-q FFT along j and one length-2p FFT along r.
-
 The sequence-domain analogue checks the correlation condition, with
 conj ghat, for the Fourier series ghat(t) = sum_l g(l) e^{-2 pi i l t} of
 a finitely supported sequence, on the grid t = i/(N T).  The sums are
@@ -79,24 +61,6 @@ def frame_symbol(g, lat: CanonicalFinite) -> FrameSymbol:
     W0, W1 = np.fft.fft(V.reshape(2, q, 2 * p) * chirp.conj(), axis=1)
     d = (2 * p / L**2) * (np.abs(W0) ** 2 + np.abs(W1[(j[:, 0] + b) % q]) ** 2)
     return FrameSymbol(d, W0, W1, chirp)
-
-
-def ambiguity_table(g, lat: CanonicalFinite) -> np.ndarray:
-    """V[k, l] = <pi(k a + l b, l p) g, g> on the 2L lattice points, shape
-    (2p, L/p); (k, l + L/p) is the lattice point (k + 2b, l).  Read from
-    W_0 and W_1 of the frame symbol (module docstring) in O(L log L)."""
-    sym = frame_symbol(g, lat)
-    L, p, b = lat.L, lat.p, lat.b
-    W0, W1 = sym.window_zak, sym.shifted_zak
-    q = len(W0)
-    s = np.arange(q)
-    pairs = np.stack([np.abs(W0) ** 2, W0[s - b] * W1.conj()], axis=1)  # W0[s - b] = roll_j(W0, b)
-    C = np.fft.fft(pairs, axis=0) * sym.chirp.conj()[:, :, None]
-    C[:, 1] = C[(s + 1) % q, 1]  # row 2s + 1 = 2s' - 1 reads s' = s + 1
-    C = C.reshape(2 * q, 2 * p)
-    l, r = np.arange(2 * q)[:, None], np.arange(2 * p)
-    C *= np.exp(-2j * np.pi * (l * b * r % L) / L)
-    return np.fft.fft(C, axis=1).T / (q * L**2)
 
 
 def _quadrature_table(g, p: int) -> np.ndarray:

@@ -10,6 +10,43 @@ maps phi of the finite Wilson gather and of the sequence lattice;
 ``correlation_sums_discrete`` is the sequence correlation fold without
 the conjugate, and ``gram_discrete`` / ``periodized_gram`` are the
 counting-measure Grams of sequence families.
+
+``herm_inv_sqrt`` is the dense eigensolver that the frame-symbol
+``tighten`` is checked against, and ``is_tight`` the entrywise tightness
+verdict of the dense frame operator.
+
+Lattice ambiguity function.  With pi(x, y) g = tf_shift(g, x, y),
+
+    <pi(x1, y1) g, pi(x2, y2) g> = e^{2 pi i x2 (y1 - y2) / L} V(x1 - x2, y1 - y2),
+    V(x, y) = <pi(x, y) g, g> = L^-2 sum_w G(w) conj G(w + y) e^{-2 pi i x w / L},
+
+and Lambda - Lambda = Lambda, so the 2L values of V on the lattice hold
+the whole 2L x 2L Gabor Gram.  On row l (x = k q + l b, y = l p) the
+factor e^{-2 pi i k q w / L} depends only on r = w mod 2p, and with
+w = 2pj + r the sum over j is a chirp-modulated correlation of the blocks
+V_e of ``wilsonlat.zak``, which the chirp turns into a plain correlation
+of the W_e:
+
+    C_{2s}     = e^{2 pi i b s^2/q} fft_j(|W_0|^2)[s] / q,
+    C_{2s'-1}  = e^{2 pi i b s'^2/q} fft_j(roll_j(W_0, b) conj W_1)[s' mod q] / q,
+    V(k q + l b, l p) = L^-2 fft_r(e^{-2 pi i l b r / L} C_l)[k],
+
+one length-q FFT along j and one length-2p FFT along r (``ambiguity_table``).
+
+Entrywise Gram scan.  Wilson element i is c_0^i pi(lambda_0^i) g +
+c_1^i pi(lambda_1^i) g, so every Gram entry is at most four lattice values
+of V:
+
+    G_ij = sum_{s,t} c_s^i conj(c_t^j) e^{2 pi i x_t^j (y_s^i - y_t^j) / L}
+           V(lambda_s^i - lambda_t^j),   lambda = (x, y).
+
+``scan_gram_deviation`` reduces every atom to table coordinates (k mod 2p,
+l mod L/p), reads V(lambda_s - lambda_t) from a (4p, 2L/p) table of
+differences through one index subtraction, and scans max|G - I| over
+row blocks on and right of the diagonal (G is Hermitian) whose four terms
+hold about ``SCAN_BLOCK`` entries, and at most max(SCAN_BLOCK, 4L) when one
+row is wider: O(L^2) time and O(L) memory, no L x L array.  It is the
+entrywise oracle beside the dense ``gram``.
 """
 
 from __future__ import annotations
@@ -19,9 +56,16 @@ from fractions import Fraction
 
 import numpy as np
 
+from wilsonlat.gabor import GaborSystem, tightness_deviation
 from wilsonlat.metaplectic import UNITARY_TOL, ParameterSearchError, SigmaParams
 from wilsonlat.ring import CanonicalFinite, CanonicalReal, LatticeError, ext_gcd
-from wilsonlat.signal import DiscreteWindow
+from wilsonlat.signal import COND_FLOOR, DEFAULT_TOL, DiscreteWindow
+from wilsonlat.wilson import WilsonSystem
+from wilsonlat.zak import frame_symbol
+
+HERMITIAN_TOL = 1e-12
+# complex entries per temporary of the Gram scan (module docstring)
+SCAN_BLOCK = 1 << 14
 
 
 def dense_metaplectic(sp: SigmaParams) -> np.ndarray:
@@ -241,3 +285,132 @@ def periodized_gram(family, m_range, L: int) -> np.ndarray:
     elems = family.elements(m_range)
     M = np.array([w.periodize(L) for _, w in elems])
     return M @ M.conj().T
+
+
+# -- dense eigensolver, window evaluation, single elements and points -------
+
+class OperatorError(ValueError):
+    """Operator input violates a precondition (not Hermitian, singular...)."""
+
+
+def is_hermitian(M: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+    return bool(np.max(np.abs(M - M.conj().T)) <= tol * max(1.0, np.max(np.abs(M))))
+
+
+def herm_inv_sqrt(S: np.ndarray) -> np.ndarray:
+    """Inverse square root of a Hermitian positive definite matrix.
+
+    The result R is Hermitian and satisfies R S R = I.  Dense oracle for
+    the frame-symbol path of :func:`wilsonlat.gabor.tighten`.
+    """
+    S = np.asarray(S, dtype=complex)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise OperatorError("matrix must be square")
+    if not is_hermitian(S):
+        raise OperatorError("matrix is not Hermitian")
+    w, V = np.linalg.eigh(S)
+    if w[0] <= COND_FLOOR * w[-1] or w[-1] <= 0:
+        raise OperatorError("frame lower bound ≈ 0")
+    R = (V * (1.0 / np.sqrt(w))) @ V.conj().T
+    return 0.5 * (R + R.conj().T)
+
+
+def value_at(w: DiscreteWindow, l: int) -> complex:
+    """w(l), zero off the support."""
+    if w.start <= l < w.stop:
+        return complex(w.values[l - w.start])
+    return 0j
+
+
+def ft_at(w: DiscreteWindow, t) -> np.ndarray:
+    """Fourier series sum_l w(l) e^{-2 pi i l t} at real arguments t."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    l = np.arange(w.start, w.stop)
+    return (w.values[None, :] * np.exp(-2j * np.pi * np.outer(t, l))).sum(axis=1)
+
+
+def gabor_element(sys: GaborSystem, m: int, n: int) -> np.ndarray:
+    N = sys.L // sys.lattice.p
+    return sys.elements[(m % (2 * sys.lattice.p)) * N + (n % N)]
+
+
+def is_tight(sys: GaborSystem, bound: float = 2.0, tol: float = DEFAULT_TOL) -> bool:
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    return tightness_deviation(sys, bound) <= tol
+
+
+def map_point(sp: SigmaParams, x: int, y: int) -> tuple[int, int]:
+    """sigma applied to a point of Z_L x Z_L."""
+    return ((sp.alpha * x + sp.beta * y) % sp.L, (sp.gamma * x + sp.delta * y) % sp.L)
+
+
+def intertwining_phase(sp: SigmaParams, x: int, y: int) -> complex:
+    """C(x, y) for the lattice point (x, y) = (m L/(2p) + n b, n p), with
+    the exponent reduced mod 2L before the float multiply."""
+    L = sp.L
+    e = (sp.alpha * sp.gamma * x * x + sp.beta * sp.delta * y * y) * (L + 1) \
+        + 2 * sp.beta * sp.gamma * x * y
+    return np.exp(-1j * np.pi * (e % (2 * L)) / L)
+
+
+# -- lattice ambiguity table and the entrywise Gram scan ---------------------
+
+def ambiguity_table(g, lat: CanonicalFinite) -> np.ndarray:
+    """V[k, l] = <pi(k a + l b, l p) g, g> on the 2L lattice points, shape
+    (2p, L/p); (k, l + L/p) is the lattice point (k + 2b, l).  Read from
+    W_0 and W_1 of the frame symbol (module docstring) in O(L log L)."""
+    sym = frame_symbol(g, lat)
+    L, p, b = lat.L, lat.p, lat.b
+    W0, W1 = sym.window_zak, sym.shifted_zak
+    q = len(W0)
+    s = np.arange(q)
+    pairs = np.stack([np.abs(W0) ** 2, W0[s - b] * W1.conj()], axis=1)  # W0[s - b] = roll_j(W0, b)
+    C = np.fft.fft(pairs, axis=0) * sym.chirp.conj()[:, :, None]
+    C[:, 1] = C[(s + 1) % q, 1]  # row 2s + 1 = 2s' - 1 reads s' = s + 1
+    C = C.reshape(2 * q, 2 * p)
+    l, r = np.arange(2 * q)[:, None], np.arange(2 * p)
+    C *= np.exp(-2j * np.pi * (l * b * r % L) / L)
+    return np.fft.fft(C, axis=1).T / (q * L**2)
+
+
+def scan_gram_deviation(sys: WilsonSystem) -> float:
+    """max|G - I| of the Wilson Gram, scanned from the lattice ambiguity table.
+
+    G_ij = sum_{s,t} c_s^i conj(c_t^j) e^{2 pi i x_t^j (y_s^i - y_t^j) / L}
+    V(lambda_s^i - lambda_t^j) (module docstring); G is Hermitian, so only
+    the blocks on and right of the diagonal are formed.
+    """
+    lat = sys.lattice
+    L, p, b, a = lat.L, lat.p, lat.b, lat.time_step
+    rows = L // p
+    # V on differences (dk, dl) in (-2p, 2p) x (-L/p, L/p), flat index
+    # (dk + 2p) 2L/p + dl + L/p = row - col; a negative dl wraps as (dk - 2b, dl + L/p)
+    dk = np.arange(-2 * p, 2 * p)[:, None]
+    dl = np.arange(-rows, rows)
+    V = ambiguity_table(sys.window, lat)[(dk - 2 * b * (dl < 0)) % (2 * p), dl % rows].ravel()
+    # atoms reduced to the table's lattice coordinates K < 2p, l < L/p
+    k, l, c = sys.atoms()
+    K = (k + 2 * b * (l // rows)) % (2 * p)
+    l = l % rows
+    col = K * 2 * rows + l
+    row = col + 4 * p * rows + rows
+    x = (K * a + l * b) % L
+    y = l * p
+    unit = np.exp(2j * np.pi * np.arange(L) / L)
+    cc = c.conj() * unit[-x * y % L]
+    # the four terms (s, t) of a block at once: s on axis 0, t on axis 1
+    row, y, c = row[:, None, :, None], y[:, None, :, None], c[:, :, None]
+    col, x, cc = col[:, None, :], x[:, None, :], cc[:, None, :]
+    worst = 0.0
+    i0 = 0
+    while i0 < L:
+        i1 = min(L, i0 + max(1, SCAN_BLOCK // (4 * (L - i0))))
+        terms = V[row[:, :, i0:i1] - col[:, :, i0:]]
+        terms *= unit[x[:, :, i0:] * y[:, :, i0:i1] % L]
+        terms *= cc[:, :, i0:]
+        G = (c[:, i0:i1] * terms.sum(axis=1)).sum(axis=0)
+        G[np.arange(i1 - i0), np.arange(i1 - i0)] -= 1.0
+        worst = np.maximum(worst, np.max(np.abs(G)))
+        i0 = i1
+    return float(worst)

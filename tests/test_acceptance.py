@@ -10,18 +10,17 @@ from math import gcd
 import numpy as np
 import pytest
 
-from oracles import (gram_discrete, periodized_gram, phi_inverse, phi_map,
-                     phi_params_discrete, phi_params_finite)
-from wilsonlat.gabor import gabor_system, is_tight, tighten, tightness_deviation
-from wilsonlat.metaplectic import (intertwining_phase, metaplectic_matrix,
-                                   sigma_params)
+from oracles import (gram_discrete, intertwining_phase, is_tight, map_point,
+                     periodized_gram, phi_inverse, phi_map, phi_params_discrete,
+                     phi_params_finite)
+from wilsonlat.gabor import gabor_system, tighten, tightness_deviation
+from wilsonlat.metaplectic import metaplectic_matrix, sigma_params
 from wilsonlat.ring import (CanonicalFinite, GeneratorMatrix, canonical_finite,
                             lattice_points_finite)
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import DiscreteWindow, tf_shift
-from wilsonlat.wilson import (equivalence_report, gram, gram_deviation,
-                              wilson_continuous_demo, wilson_discrete,
-                              wilson_finite)
+from wilsonlat.wilson import (WilsonSequenceFamily, equivalence_report, gram,
+                              gram_deviation, wilson_continuous_demo, wilson_finite)
 from wilsonlat.zak import cond_correlation, cond_quadrature
 
 
@@ -145,7 +144,7 @@ def test_criterion_4_metaplectic_intertwining():
         for _ in range(20):
             g = rng.complex_vector(L)
             h = U.conj().T @ g
-            shifted = np.array([tf_shift(h, *sp.map_point(x, y)) for x, y in points])
+            shifted = np.array([tf_shift(h, *map_point(sp, x, y)) for x, y in points])
             rhs = (U @ shifted.T).T
             for i, (x, y) in enumerate(points):
                 lhs = tf_shift(g, x, y)
@@ -279,7 +278,7 @@ def test_criterion_9_sequence_finite_consistency():
     rng = SplitMix64(1009)
     vals = rng.reals(9)
     g = DiscreteWindow(-4, 0.5 * (vals + vals[::-1]))
-    fam = wilson_discrete(g, 4, 1)
+    fam = WilsonSequenceFamily(g, 4, 1)
     m_range = range(-8, 9)
     G_seq = gram_discrete(fam.elements(m_range))
     G_per = periodized_gram(fam, m_range, 512)

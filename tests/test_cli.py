@@ -300,3 +300,14 @@ def test_wilson_build_bytes_match_per_sample_writer(tmp_path, capsys):
         sys_.basis, [f"{m},{n}," for m, n in sys_.index_set])
     assert out.read_bytes() == want.encode()
     assert b"-0," in out.read_bytes()
+
+
+def test_wilson_build_refuses_large_L_exit2(tmp_path, capsys):
+    # the basis is an L x L array; above 4096 it is refused before any I/O
+    lat = CanonicalFinite(8192, 4, 1)
+    win, out = tmp_path / "g.csv", tmp_path / "basis.csv"
+    write_window_csv(win, np.fft.ifft(SplitMix64(30).reals(lat.L)) * lat.L)
+    code, stdout, err = run(capsys, "wilson", "build", "--lattice", "8192,4,1",
+                            "--window", str(win), "--out", str(out))
+    assert code == 2 and stdout == "" and "4096" in err
+    assert not out.exists()

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wilsonlat
-from oracles import candidates, continuous_factor, dense_metaplectic, phi_params_finite
+from oracles import (candidates, continuous_factor, dense_metaplectic, intertwining_phase,
+                     map_point, phi_params_finite)
 from wilsonlat import cli, metaplectic, wilson
 from wilsonlat.gabor import tighten
-from wilsonlat.metaplectic import (ParameterSearchError, SigmaParams,
-                                   apply_continuous_U, intertwining_phase,
+from wilsonlat.metaplectic import (ParameterSearchError, SigmaParams, apply_continuous_U,
                                    meta_finite, metaplectic_matrix, sigma_params)
 from wilsonlat.ring import CanonicalFinite, CanonicalReal, LatticeError
 from wilsonlat.rng import SplitMix64
@@ -126,7 +126,7 @@ class TestIntertwining:
             for n in range(L // p):
                 x, y = m * a + n * b, n * p
                 lhs = tf_shift(g, x, y)
-                rhs = intertwining_phase(sp, x, y) * (U @ tf_shift(h, *sp.map_point(x, y)))
+                rhs = intertwining_phase(sp, x, y) * (U @ tf_shift(h, *map_point(sp, x, y)))
                 worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         assert worst < 1e-10
 
@@ -143,7 +143,7 @@ class TestIntertwining:
                 for n in range(-3, 4):
                     f1, f2 = phi_map(m, n, pp)
                     x, y = f1 * a + f2 * lat.b, f2 * lat.p
-                    got = sp.map_point(x, y)
+                    got = map_point(sp, x, y)
                     want = ((m * sp.gcd_c) % lat.L, (n * lat.L // (2 * sp.gcd_c)) % lat.L)
                     assert got == want
 

@@ -18,7 +18,8 @@ from oracles import gram_discrete
 from wilsonlat.ring import CanonicalFinite, ext_gcd
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import DiscreteWindow
-from wilsonlat.wilson import chirp_discrete, wilson_discrete, wilson_finite, wilson_pair
+from wilsonlat.wilson import (WilsonSequenceFamily, chirp_discrete, wilson_finite,
+                              wilson_pair)
 
 
 def sheared_lattices(max_N):
@@ -75,7 +76,7 @@ def test_no_zero_or_self_paired_element():
     assert len(lattices) == 66
     for N, b in lattices:
         g = DiscreteWindow(-2, rng.complex_vector(7))
-        fam = wilson_discrete(g, N, b)
+        fam = WilsonSequenceFamily(g, N, b)
         assert fam.c == gcd(N // 2, b)
         for (m, n), e in fam.elements(range(-3, 4)):
             ratio = e.norm2() / g.norm2()
@@ -86,7 +87,7 @@ def test_no_zero_or_self_paired_element():
 
 def test_chirped_painless_window_gives_orthonormal_basis():
     for N, b in sheared_lattices(24):
-        fam = wilson_discrete(chirped_painless(N, b), N, b)
+        fam = WilsonSequenceFamily(chirped_painless(N, b), N, b)
         assert gram_deviation_discrete(fam, range(-6, 7)) <= 1e-12, (N, b)
 
 
@@ -94,7 +95,7 @@ def test_rectangular_family_unchanged():
     rng = SplitMix64(72)
     for N in range(2, 25, 2):
         g = DiscreteWindow(-3, rng.complex_vector(6))
-        fam = wilson_discrete(g, N, 0)
+        fam = WilsonSequenceFamily(g, N, 0)
         assert fam.c == N // 2
         for (m, n), e in fam.elements(range(-3, 4)):
             want = rectangular_element_literal(g, N, m, n)
@@ -112,7 +113,7 @@ def test_periodized_elements_are_finite_basis_rows():
     rng = SplitMix64(73)
     for N, b in ((8, 3), (12, 4), (16, 6), (24, 9)):
         g = DiscreteWindow(-3, rng.complex_vector(6))
-        fam = wilson_discrete(g, N, b)
+        fam = WilsonSequenceFamily(g, N, b)
         for K in (N // 2, N, 3 * N // 2):
             L = N * K
             basis = wilson_finite(g.periodize(L), CanonicalFinite(L, K, b)).basis
@@ -134,5 +135,5 @@ def test_random_painless_window_generated(data):
     N = 2 * half
     c = gcd(half, b)
     g = chirped_painless(N, b, random_theta(c, SplitMix64(seed)))
-    fam = wilson_discrete(g, N, b)
+    fam = WilsonSequenceFamily(g, N, b)
     assert gram_deviation_discrete(fam, range(-3, 4)) <= 1e-12, (N, b)

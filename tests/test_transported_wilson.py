@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import phi_map, phi_params_finite
+from oracles import phi_map, phi_params_finite, scan_gram_deviation
 from wilsonlat.gabor import tighten
 from wilsonlat.metaplectic import meta_finite, metaplectic_matrix, sigma_params
 from wilsonlat.ring import CanonicalFinite
@@ -71,6 +71,17 @@ def check_transport(g, lat):
     assert np.max(np.abs(got - z[:, None] * want)) <= 1e-12, lat
 
 
+def check_deviations(sys):
+    """The entrywise scan equals the dense max|G - I|, the spectral deviation
+    is never below it, and both give the same verdict."""
+    lat = sys.lattice
+    dense = float(np.max(np.abs(gram(sys) - np.eye(lat.L))))
+    assert abs(scan_gram_deviation(sys) - dense) <= 1e-13 * max(1.0, dense), lat
+    fast = gram_deviation(sys)
+    assert fast >= dense - 1e-13, (lat, fast, dense)
+    assert (fast <= 1e-9) == (dense <= 1e-9), (lat, fast, dense)
+
+
 def test_every_small_lattice_gives_an_orthonormal_basis():
     rng = SplitMix64(90)
     lattices = list(canonical_lattices(48))
@@ -85,8 +96,7 @@ def test_every_small_lattice_gives_an_orthonormal_basis():
         if aligned(lat):
             assert np.array_equal(sys.basis, phi_gather(g, lat)), lat
         else:
-            dense = float(np.max(np.abs(gram(sys) - np.eye(lat.L))))
-            assert abs(gram_deviation(sys) - dense) <= 1e-13 * max(1.0, dense), lat
+            check_deviations(sys)
             non_aligned += 1
     assert non_aligned == 42
 
@@ -102,6 +112,4 @@ def test_transported_basis_generated(data):
     g = transported_window(SplitMix64(seed), lat)
     assert all(equivalence_report(g, lat).verdicts()), lat
     check_transport(g, lat)
-    sys = wilson_finite(g, lat)
-    dense = float(np.max(np.abs(gram(sys) - np.eye(lat.L))))
-    assert abs(gram_deviation(sys) - dense) <= 1e-13 * max(1.0, dense), lat
+    check_deviations(wilson_finite(g, lat))

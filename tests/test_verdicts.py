@@ -1,6 +1,6 @@
 """Verdicts off the dense systems: the tightness deviation from the frame
-symbol, the Wilson Gram deviation from the lattice ambiguity table, and a
-basis gathered only when it is read, each against its dense oracle."""
+symbol, the Wilson Gram deviation from the Riesz blocks of the same symbol,
+and a basis gathered only when it is read, each against its dense oracle."""
 
 import json
 import tracemalloc
@@ -11,15 +11,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wilsonlat
-from wilsonlat import cli, gabor, wilson
+from oracles import ambiguity_table, scan_gram_deviation
+from wilsonlat import cli, gabor, metaplectic, wilson
 from wilsonlat.gabor import (frame_bounds, frame_operator, gabor_system,
                              spectral_deviation, tighten, tightness_deviation)
 from wilsonlat.metaplectic import meta_finite, sigma_params
 from wilsonlat.ring import CanonicalFinite, LatticeError
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import write_window_csv
-from wilsonlat.wilson import equivalence_report, gram, gram_deviation, wilson_finite
-from wilsonlat.zak import ambiguity_table
+from wilsonlat.wilson import (equivalence_report, gram, gram_deviation, riesz_bounds,
+                              riesz_spectrum, wilson_finite)
 
 TOL = 1e-9
 
@@ -38,8 +39,10 @@ def dense_gram_deviation(g, lat):
 def check_against_dense(g, lat):
     """Both fast deviations against their oracles; returns the four verdicts."""
     dense = dense_gram_deviation(g, lat)
+    scan = scan_gram_deviation(wilson_finite(g, lat))
+    assert abs(scan - dense) <= 1e-13 * max(1.0, dense), (lat, scan, dense)
     fast = gram_deviation(wilson_finite(g, lat))
-    assert abs(fast - dense) <= 1e-13 * max(1.0, dense), (lat, fast, dense)
+    assert fast >= dense - 1e-13, (lat, fast, dense)
     entrywise = tightness_deviation(gabor_system(g, lat), 2.0)
     spectral = spectral_deviation(g, lat)
     assert spectral >= entrywise - 1e-13, (lat, spectral, entrywise)
@@ -78,6 +81,74 @@ def test_fast_verdicts_match_dense_generated(data):
     w = np.linalg.eigvalsh(frame_operator(gabor_system(g, lat)))
     assume(w[0] > 1e-3 * w[-1])  # a frame, conditioned well enough to tighten
     assert check_against_dense(tighten(g, lat), lat)[2:] == (True, True)
+
+
+def check_riesz_blocks(g, lat):
+    sys = wilson_finite(g, lat)
+    want = np.linalg.eigvalsh(gram(sys))
+    got = np.sort(riesz_spectrum(sys))
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, want[-1]), lat
+
+
+def test_riesz_blocks_are_the_gram_spectrum():
+    rng = SplitMix64(87)
+    lattices = list(canonical_lattices(48))
+    assert len(lattices) == 491
+    for lat in lattices:
+        g = rng.complex_vector(lat.L)
+        h = meta_finite(rng.real_dft_window(lat.L), sigma_params(lat))
+        for w in (g, tighten(g, lat), tighten(h, lat), h):
+            check_riesz_blocks(w, lat)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_riesz_blocks_generated(data):
+    half = data.draw(st.integers(1, 32), label="L/2")
+    p = data.draw(st.sampled_from([d for d in range(1, half + 1) if half % d == 0]), label="p")
+    b = data.draw(st.integers(0, half // p - 1), label="b")
+    seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+    lat = CanonicalFinite(2 * half, p, b)
+    rng = SplitMix64(seed)
+    check_riesz_blocks(rng.complex_vector(lat.L), lat)
+    check_riesz_blocks(meta_finite(rng.real_dft_window(lat.L), sigma_params(lat)), lat)
+
+
+def check_half_frame_bounds(g, lat, sp=None):
+    A, B = frame_bounds(g, lat)
+    AW, BW = riesz_bounds(wilson_finite(g, lat, sp))
+    assert abs(AW - A / 2) <= 1e-12 * B and abs(BW - B / 2) <= 1e-12 * B, (lat, AW, BW, A, B)
+
+
+def test_riesz_bounds_are_half_the_frame_bounds():
+    rng = SplitMix64(88)
+    for lat in canonical_lattices(48):
+        h = meta_finite(rng.real_dft_window(lat.L), sigma_params(lat))
+        check_half_frame_bounds(h, lat)
+        check_half_frame_bounds(tighten(h, lat), lat)
+
+
+def test_riesz_bounds_at_the_largest_lattice():
+    # sigma's entries lie near L/2, so unreduced phase products would overflow int64
+    lat = CanonicalFinite(2 ** 20, 1, 1)
+    sp = sigma_params(lat)
+    assert (sp.alpha, sp.beta, sp.gamma, sp.delta) == (1, 524287, -1, -524286)
+    h = np.fft.ifft(np.random.default_rng(89).uniform(-1.0, 1.0, lat.L)) * lat.L
+    check_half_frame_bounds(meta_finite(h, sp), lat, sp)
+
+
+def test_riesz_bounds_never_transport(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("metaplectic transport in a Riesz verdict")
+
+    lat = CanonicalFinite(48, 2, 3)
+    g = tighten(meta_finite(SplitMix64(90).real_dft_window(lat.L), sigma_params(lat)), lat)
+    monkeypatch.setattr(wilson, "meta_finite", refuse)
+    monkeypatch.setattr(metaplectic, "meta_finite", refuse)
+    sys = wilson_finite(g, lat)
+    AW, BW = riesz_bounds(sys)
+    assert abs(AW - 1) <= TOL and abs(BW - 1) <= TOL
+    assert gram_deviation(sys) <= TOL
 
 
 def test_ambiguity_table_is_the_lattice_of_inner_products():

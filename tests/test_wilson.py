@@ -10,10 +10,9 @@ from wilsonlat.metaplectic import metaplectic_matrix, sigma_params
 from wilsonlat.ring import CanonicalFinite, LatticeError
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import DiscreteWindow, tf_shift
-from wilsonlat.wilson import (equivalence_report, gram, gram_deviation,
-                              wilson_continuous_demo,
-                              wilson_discrete, wilson_finite, wilson_index_set,
-                              wilson_pair)
+from wilsonlat.wilson import (WilsonSequenceFamily, equivalence_report, gram,
+                              gram_deviation, wilson_continuous_demo, wilson_finite,
+                              wilson_index_set, wilson_pair)
 
 
 def divisors_of_half(L):
@@ -307,7 +306,7 @@ class TestEquivalenceReport:
 
 class TestWilsonDiscrete:
     def test_delta_rectangular_elements(self):
-        fam = wilson_discrete(DiscreteWindow(0, [1.0]), 2, 0)
+        fam = WilsonSequenceFamily(DiscreteWindow(0, [1.0]), 2, 0)
         for m in (-2, 0, 3):
             e = fam.element(m, 0)
             assert e.start == 2 * m and np.allclose(e.values, [1.0])
@@ -315,7 +314,7 @@ class TestWilsonDiscrete:
     def test_boundary_elements_keep_single_atom_support(self):
         g = DiscreteWindow(-2, [1.0, 0.5, 0.25])
         for N, b in ((8, 0), (8, 1), (12, 2)):
-            fam = wilson_discrete(g, N, b)
+            fam = WilsonSequenceFamily(g, N, b)
             for m in (-2, 0, 3):
                 for n in (0, fam.c):
                     e = fam.element(m, n)
@@ -323,7 +322,7 @@ class TestWilsonDiscrete:
 
     def test_coefficient_rules(self):
         g = DiscreteWindow(0, [1.0, 0.5])
-        fam = wilson_discrete(g, 8, 0)
+        fam = WilsonSequenceFamily(g, 8, 0)
         m, n = 1, 2   # m+n odd -> i/sqrt2 difference
         e = fam.element(m, n)
         a1 = fam._atom(m, n)
@@ -344,7 +343,7 @@ class TestWilsonDiscrete:
         vals = rng.reals(9)
         g = DiscreteWindow(-4, 0.5 * (vals + vals[::-1]))
         N, b = 4, 1
-        fam = wilson_discrete(g, N, b)
+        fam = WilsonSequenceFamily(g, N, b)
         m_range = range(-8, 9)
         G_seq = gram_discrete(fam.elements(m_range))
         for L in (256, 512):
@@ -353,7 +352,7 @@ class TestWilsonDiscrete:
 
     def test_invalid_b_rejected(self):
         with pytest.raises(LatticeError):
-            wilson_discrete(DiscreteWindow(0, [1.0]), 4, 2)
+            WilsonSequenceFamily(DiscreteWindow(0, [1.0]), 4, 2)
 
 
 class TestContinuousDemo:

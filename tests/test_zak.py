@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import correlation_sums_discrete
-from wilsonlat.gabor import gabor_system, is_tight, tighten
+from oracles import correlation_sums_discrete, ft_at, is_tight
+from wilsonlat.gabor import gabor_system, tighten
 from wilsonlat.ring import CanonicalFinite
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import DiscreteWindow, dft
@@ -46,7 +46,7 @@ def correlation_sums_literal(g, N, t_samples=None):
     sums = np.zeros((N // 2, t_samples), dtype=complex)
     for j in range(N // 2):
         for l in range(N):
-            sums[j] += g.ft_at(ts + l / N) * g.ft_at(ts + (l + 2 * j) / N)
+            sums[j] += ft_at(g, ts + l / N) * ft_at(g, ts + (l + 2 * j) / N)
     return ts, sums
 
 
