@@ -12,8 +12,8 @@ from .metaplectic import (ParameterSearchError, SigmaParams, apply_continuous_U,
 from .ring import (CanonicalDiscrete, CanonicalFinite, CanonicalReal,
                    GeneratorMatrix, LatticeError, canonical_discrete,
                    canonical_finite, ext_gcd, hnf_real, lattice_points_finite)
-from .signal import (DiscreteWindow, centered_dft, dft, idft, inner, norm,
-                     real_spectrum, tf_shift, unitary_dft)
+from .signal import (DiscreteWindow, centered_dft, dft, real_spectrum, tf_shift,
+                     unitary_dft)
 from .wilson import (EquivalenceReport, WilsonSequenceFamily, WilsonSystem,
                      chirp_discrete, equivalence_report, gram, gram_deviation,
                      riesz_bounds, riesz_spectrum, wilson_continuous_demo,

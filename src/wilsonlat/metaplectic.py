@@ -14,16 +14,24 @@ U is the normalized kernel sum U f(k) = sum_l f(alpha k + beta l) psi(k, l),
 psi the phase of C at (k, l).
 
 Search.  A candidate is a row (alpha, beta), |alpha| = 1, v = alpha b +
-beta p != 0, c = gcd(L/(2p), |v|), with a Bezout pair (m0, n0) solving
-alpha (L/2p) m0 + v n0 = c.  Preference: larger c (c = L/(2p) maps onto
-the rectangle with the *same* p, possible iff gcd(p, L/(2p)) | b: the
-aligned case), the sign conditions, small |beta|,
-|m0|, |n0|, alpha = +1, then (beta, m0, n0).  The kernel of a candidate is
-proportional to a unitary unless beta != 0 and v2(beta) = v2(L), v2 the
-exponent of 2 (its Gauss sums vanish; checked against the dense test, not
-proven here).  The search ranks every beta of the box by c at once, visits
-the rows of largest c in order of |beta|, solves each row for all n0 at
-once and stops at the first row that meets the sign conditions.
+beta p != 0, c = gcd(u, |v|), u = L/(2p), with a Bezout pair (m0, n0)
+solving alpha u m0 + v n0 = c and gcd(x0, y0) = c, x0 = u m0 + b n0,
+y0 = p n0.  Preference: larger c (c = u maps onto the rectangle with the
+*same* p, possible iff gcd(p, u) | b: the aligned case), the sign
+conditions, small |beta|, |m0|, |n0|, alpha = +1, then (beta, m0, n0).
+The kernel of a candidate is proportional to a unitary unless beta != 0
+and v2(beta) = v2(L), v2 the exponent of 2 (its Gauss sums vanish;
+checked against the dense test, not proven here).  The search visits
+residue classes, never the whole box: the levels c are the divisors of
+u, largest first; c | b + beta p puts the rows of a level in one class
+of beta mod m = c/gcd(c, p), taken by |beta| up to the last |beta| whose
+|m0| >= (|v| m - c)/u can be in the box; gcd(x0, y0) = gcd(c, p n0) = c
+puts n0 in the class m (m v/c)^{-1} mod m u/c (none unless gcd(m, u/c)
+= 1).  |m0| = |c - v n0|/u is V-shaped in n0, and the sign conditions
+are constant between the zeros of n0 and x0, so only columns within one
+step of c/v, of those zeros or of the box edges can win: O(1) per row.
+The row (-1, -beta) holds the columns of (1, beta) with (m0, n0)
+negated, the same key but for alpha, so only alpha = +1 rows are visited.
 
 Transport.  Through the shears sigma = [[alpha, 0], [gamma, alpha]]
 [[1, alpha beta], [0, 1]] (Feichtinger, Hazewinkel, Kaiblinger, Matusiak,
@@ -45,8 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -186,66 +193,73 @@ def _identity_params(lat: CanonicalFinite) -> SigmaParams:
                        L=lat.L, p=lat.p, b=0, aligned=True, sign_adjusted=False)
 
 
-def _row_candidates(lat: CanonicalFinite, box: int, alpha: int, beta: int) -> np.ndarray:
-    """Columns (alpha, beta, m0, n0, x0, y0, sign_ok) of the row's valid
-    candidates in the box: n0 = (v/c)^{-1} mod u/c, m0 moving by -alpha v/c."""
+def _beta_groups(r: int, m: int, top: int):
+    """The betas = r (mod m) with |beta| <= top, grouped by increasing |beta|."""
+    bases = sorted({r, -r % m})
+    for k0 in range(0, top + 1, m):
+        for k in (k0 + base for base in bases):
+            if k > top:
+                return
+            yield [beta for beta in {k, -k} if beta % m == r]
+
+
+def _row(lat: CanonicalFinite, box: int, c: int, m: int, beta: int) -> list[tuple]:
+    """Keys (|m0|, |n0|, beta, m0, n0, x0, y0, sign_ok) of the columns of row
+    (1, beta) at level c that can be the smallest of their sign class
+    (module docstring): O(1) columns however long the row."""
     u, p, b = lat.time_step, lat.p, lat.b
-    v = alpha * b + beta * p
-    c = gcd(u, abs(v))
-    step = u // c
-    first = pow(v // c, -1, step) if step > 1 else 0
-    j = np.arange(-((box + first) // step), (box - first) // step + 1)
-    n0 = first + step * j
-    m0 = (c - v * first) // (alpha * u) - alpha * (v // c) * j
-    x0 = u * m0 + b * n0
-    y0 = p * n0
-    keep = (n0 != 0) & (np.abs(m0) <= box) & (x0 != 0)
-    keep[keep] = np.gcd(x0[keep], y0[keep]) == c
-    sign_ok = ((x0 < 0) != (y0 < 0)) & (alpha * v > 0)
-    cols = np.broadcast_arrays(alpha, beta, m0, n0, x0, y0, sign_ok)
-    return np.array(cols, dtype=np.int64)[:, keep]
+    v = b + beta * p
+    if v == 0 or not _admissible(beta, lat.L) or gcd(u, v) != c:
+        return []
+    K = m * u // c
+    nr = m * pow(v // c * m, -1, u // c)
+    marks = {-box, box, (c - u * box) // v, (c + u * box) // v, 0, c // v}
+    marks |= {c // (beta * p)} if beta else set()
+    cols = []
+    for n0 in {nr + K * ((t - nr) // K + d) for t in marks for d in (-1, 0, 1)}:
+        m0 = (c - v * n0) // u
+        x0, y0 = u * m0 + b * n0, p * n0
+        if 0 < abs(n0) <= box and abs(m0) <= box and x0 != 0:
+            cols.append((abs(m0), abs(n0), beta, m0, n0, x0, y0, (x0 < 0) != (y0 < 0) and v > 0))
+    return cols
 
 
-def _pick(lat: CanonicalFinite, c: int, cands: np.ndarray) -> SigmaParams:
-    """The preferred column: small |m0|, |n0|, alpha = +1, then (beta, m0, n0)."""
-    i = np.lexsort((cands[3], cands[2], cands[1], cands[0] != 1,
-                    np.abs(cands[3]), np.abs(cands[2])))[0]
-    alpha, beta, m0, n0, x0, y0, sign_ok = (int(x) for x in cands[:, i])
-    return SigmaParams(alpha=alpha, beta=beta, gamma=-y0 // c, delta=x0 // c,
+def _pick(lat: CanonicalFinite, c: int, cols: list[tuple]) -> SigmaParams:
+    """The preferred column: small |m0|, |n0|, then (beta, m0, n0)."""
+    _, _, beta, m0, n0, x0, y0, sign_ok = min(cols)
+    return SigmaParams(alpha=1, beta=beta, gamma=-y0 // c, delta=x0 // c,
                        m0=m0, n0=n0, gcd_c=c,
-                       lcm_d=alpha * lat.time_step * (alpha * lat.b + beta * lat.p) // c,
+                       lcm_d=lat.time_step * (lat.b + beta * lat.p) // c,
                        s=c, t=-(x0 * y0) // c, L=lat.L, p=lat.p, b=lat.b,
                        aligned=(c == lat.time_step), sign_adjusted=not sign_ok)
 
 
 def _search(lat: CanonicalFinite, box: int) -> SigmaParams:
-    """The first admissible candidate in the preference order: rows by -c,
-    then |beta|; the first sign-ok candidate wins, and if the largest c with
-    candidates has none, its first candidate does (sign_adjusted)."""
-    L, p, b, u = lat.L, lat.p, lat.b, lat.time_step
-    beta = np.arange(-box, box + 1)
-    alpha = np.repeat([1, -1], len(beta))
-    beta = np.tile(beta, 2)
-    v = alpha * b + beta * p
-    keep = (v != 0) & _admissible(beta, L)
-    alpha, beta, c = alpha[keep], beta[keep], np.gcd(u, v[keep])
-    order = np.lexsort((np.abs(beta), -c))
-    fallback = None
-    for (cr, _), rows in groupby(order, key=lambda r: (int(c[r]), abs(beta[r]))):
-        if fallback is not None and cr != fallback.gcd_c:
+    """The first admissible candidate in the preference order: levels c | u
+    largest first, then rows by |beta|; the first sign-ok candidate wins,
+    and if the largest c with candidates has none, its first candidate
+    does (sign_adjusted)."""
+    u, p, b = lat.time_step, lat.p, lat.b
+    small = [d for d in range(1, isqrt(u) + 1) if u % d == 0]
+    for c in sorted({*small, *(u // d for d in small)}, reverse=True):
+        g, m = gcd(c, p), c // gcd(c, p)
+        if b % g or gcd(m, u // c) > 1:
+            continue  # no row, or no n0 in any row
+        r = -(b // g) * pow(p // g, -1, m) % m
+        top = min(box, ((u * box + c) // m + b) // p)  # |v| m - c <= u box
+        fallback = None
+        for betas in _beta_groups(r, m, top):
+            cols = [col for beta in betas for col in _row(lat, box, c, m, beta)]
+            ok = [col for col in cols if col[-1]]
+            if ok:
+                return _pick(lat, c, ok)
+            if cols and fallback is None:
+                fallback = _pick(lat, c, cols)
+        if fallback is not None:
             return fallback
-        cands = np.concatenate([_row_candidates(lat, box, int(alpha[r]), int(beta[r]))
-                                for r in rows], axis=1)
-        ok = cands[6] == 1
-        if ok.any():
-            return _pick(lat, cr, cands[:, ok])
-        if cands.shape[1] and fallback is None:
-            fallback = _pick(lat, cr, cands)
-    if fallback is not None:
-        return fallback
     raise ParameterSearchError(
         f"no admissible symplectic parameters for (L, p, b) = "
-        f"({L}, {p}, {b}) in box [-{box}, {box}]")
+        f"({lat.L}, {p}, {b}) in box [-{box}, {box}]")
 
 
 @lru_cache(maxsize=512)

@@ -41,11 +41,6 @@ def dft(f) -> np.ndarray:
     return np.fft.fft(f) / len(f)
 
 
-def idft(F) -> np.ndarray:
-    F = as_window(F)
-    return np.fft.ifft(F) * len(F)
-
-
 def unitary_dft(f) -> np.ndarray:
     """DFT rescaled to be unitary for the normalized inner product."""
     f = as_window(f)
@@ -88,17 +83,6 @@ def tf_shift(g, x, y) -> np.ndarray:
     return out
 
 
-def inner(f, g) -> complex:
-    f, g = as_window(f), as_window(g)
-    if len(f) != len(g):
-        raise ValueError("length mismatch")
-    return complex(np.vdot(g, f) / len(f))
-
-
-def norm(f) -> float:
-    return float(np.sqrt(abs(inner(f, f))))
-
-
 @dataclass(frozen=True)
 class DiscreteWindow:
     """Finitely supported sequence on Z: values[i] sits at start + i."""
@@ -128,9 +112,6 @@ class DiscreteWindow:
 
     def norm2(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2))
-
-    def scaled(self, c: complex) -> "DiscreteWindow":
-        return DiscreteWindow(self.start, c * self.values)
 
     def periodize(self, L: int) -> np.ndarray:
         """Wrap onto Z_L: out[l] = sum_k g(l + k L)."""

@@ -67,12 +67,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .gabor import FrameError, spectral_deviation, tighten
+from .gabor import FrameError, tighten
 from .metaplectic import SigmaParams, apply_continuous_U, meta_finite, sigma_params
 from .ring import CanonicalFinite, LatticeError, ext_gcd
 from .signal import (DEFAULT_TOL, DiscreteWindow, as_window, centered_dft,
                      real_spectrum, tf_shift)
-from .zak import frame_symbol
+from .zak import FrameSymbol, frame_symbol
 
 
 def _index_arrays(L: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -109,7 +109,8 @@ class WilsonSystem:
 
     ``basis`` (rows = elements, (n, m)-lex order over the index set of the
     image rectangle (L, q)) is gathered on first read; :func:`gram_deviation`
-    works from the frame symbol and never reads it.
+    works from ``symbol``, the frame symbol of the window over the lattice,
+    built once per system, and never reads the basis.
     """
 
     window: np.ndarray = field(repr=False)
@@ -150,11 +151,9 @@ class WilsonSystem:
         basis += c[1][:, None] * tf_shift(self.window, k[1] * a + l[1] * b, l[1] * p)
         return basis
 
-    def element(self, m: int, n: int) -> np.ndarray:
-        q, top = self.params.q, self.params.gcd_c
-        if not (0 <= n <= top and 0 <= m < (q if n in (0, top) else 2 * q)):
-            raise ValueError(f"({m}, {n}) is not a Wilson index of {self.lattice}")
-        return self.basis[m + max(2 * n - 1, 0) * q]
+    @cached_property
+    def symbol(self) -> FrameSymbol:
+        return frame_symbol(self.window, self.lattice)
 
 
 def wilson_finite(g, lat: CanonicalFinite, sp: SigmaParams | None = None) -> WilsonSystem:
@@ -193,7 +192,7 @@ def riesz_spectrum(sys: WilsonSystem) -> np.ndarray:
     Pr = flipped(a, 0, k, r) % L // a
     Pk = (2 * p * b - 2 * b * Pr + flipped(2 * b, 2 * p, k, r)) % L // (2 * p)
     phi = np.exp(2j * np.pi * ((phase(b, p, k, r) + flipped(b, p, Pk, Pr)) % L) / L).ravel()
-    sym = frame_symbol(sys.window, sys.lattice)
+    sym = sys.symbol
     P, d = (2 * p * Pk + Pr).ravel(), sym.values.ravel()
     Z0, Z1 = sym.window_zak.ravel(), np.roll(sym.shifted_zak, -b, axis=0).ravel()
     t = (2 * p / L**2) * (Z0 * Z0[P].conj() + phi * Z1 * Z1[P].conj())
@@ -321,15 +320,13 @@ def equivalence_report(g, lat: CanonicalFinite, tol: float = DEFAULT_TOL,
         real_spectrum(h)
     except ValueError as exc:
         raise FrameError(f"transported {exc}") from exc
-    rect = CanonicalFinite(lat.L, sp.q, 0)
-    dev_i = spectral_deviation(g, lat)
-    dev_ii = spectral_deviation(h, rect)
-    dev_iii = gram_deviation(wilson_finite(h, rect))
-    dev_iv = gram_deviation(sheared)
-    devs = {"sheared_tight": dev_i, "rectangular_tight": dev_ii,
-            "rectangular_onb": dev_iii, "sheared_onb": dev_iv}
-    return EquivalenceReport(dev_i <= tol, dev_ii <= tol, dev_iii <= tol,
-                             dev_iv <= tol, devs, sp, tol)
+    rect = wilson_finite(h, CanonicalFinite(lat.L, sp.q, 0))
+    # one frame symbol per window: each system's tightness and Riesz bounds read it
+    devs = {"sheared_tight": sheared.symbol.deviation,
+            "rectangular_tight": rect.symbol.deviation,
+            "rectangular_onb": gram_deviation(rect),
+            "sheared_onb": gram_deviation(sheared)}
+    return EquivalenceReport(*(dev <= tol for dev in devs.values()), devs, sp, tol)
 
 
 # -- continuous demonstration -------------------------------------------------

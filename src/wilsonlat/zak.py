@@ -49,6 +49,11 @@ class FrameSymbol:
     shifted_zak: np.ndarray = field(repr=False)
     chirp: np.ndarray = field(repr=False)
 
+    @property
+    def deviation(self) -> float:
+        """||S - 2I||_2 = max|d - 2|: how far the frame bounds are from 2."""
+        return float(np.max(np.abs(self.values - 2.0)))
+
 
 def frame_symbol(g, lat: CanonicalFinite) -> FrameSymbol:
     """The L eigenvalues of the frame operator of g over lat (module docstring)."""

@@ -3,8 +3,10 @@ setting and the continuous factorization data that only the tests use.
 
 ``dense_metaplectic`` is the kernel sum U f(k) = sum_l f(alpha k + beta l)
 psi(k, l) normalized to a unitary, the definition that the factored
-``wilsonlat.metaplectic`` operator is checked against; ``candidates`` is
-the preference-ordered box search that ``sigma_params`` reproduces;
+``wilsonlat.metaplectic`` operator is checked against; ``candidates`` lists
+every candidate of the box in preference order, and ``box_search`` walks
+the whole (4L+1)-wide beta box by level c and |beta|, the search that
+``sigma_params`` must reproduce from residue classes;
 ``phi_params_finite`` and ``phi_params_discrete`` are the unimodular index
 maps phi of the finite Wilson gather and of the sequence lattice;
 ``correlation_sums_discrete`` is the sequence correlation fold without
@@ -13,7 +15,10 @@ counting-measure Grams of sequence families.
 
 ``herm_inv_sqrt`` is the dense eigensolver that the frame-symbol
 ``tighten`` is checked against, and ``is_tight`` the entrywise tightness
-verdict of the dense frame operator.
+verdict of the dense frame operator.  ``idft``, ``inner`` and ``norm`` are
+the inverse DFT and the normalized inner product and norm of the C^L
+conventions in ``wilsonlat.signal``; ``wilson_element`` reads one Wilson
+element from the gathered basis.
 
 Lattice ambiguity function.  With pi(x, y) g = tf_shift(g, x, y),
 
@@ -53,13 +58,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
+from math import gcd
 
 import numpy as np
 
 from wilsonlat.gabor import GaborSystem, tightness_deviation
-from wilsonlat.metaplectic import UNITARY_TOL, ParameterSearchError, SigmaParams
+from wilsonlat.metaplectic import UNITARY_TOL, ParameterSearchError, SigmaParams, _admissible
 from wilsonlat.ring import CanonicalFinite, CanonicalReal, LatticeError, ext_gcd
-from wilsonlat.signal import COND_FLOOR, DEFAULT_TOL, DiscreteWindow
+from wilsonlat.signal import COND_FLOOR, DEFAULT_TOL, DiscreteWindow, as_window
 from wilsonlat.wilson import WilsonSystem
 from wilsonlat.zak import frame_symbol
 
@@ -127,6 +134,68 @@ def candidates(lat: CanonicalFinite, box: int):
                         s=c, t=-(x0 * y0) // c, L=L, p=p, b=b,
                         aligned=(c == u), sign_adjusted=not sign_ok)
             for alpha, beta, v, c, m0, n0, x0, y0, sign_ok in zip(*cols))
+
+
+def _box_row_candidates(lat: CanonicalFinite, box: int, alpha: int, beta: int) -> np.ndarray:
+    """Columns (alpha, beta, m0, n0, x0, y0, sign_ok) of the row's valid
+    candidates in the box: n0 = (v/c)^{-1} mod u/c, m0 moving by -alpha v/c."""
+    u, p, b = lat.time_step, lat.p, lat.b
+    v = alpha * b + beta * p
+    c = gcd(u, abs(v))
+    step = u // c
+    first = pow(v // c, -1, step) if step > 1 else 0
+    j = np.arange(-((box + first) // step), (box - first) // step + 1)
+    n0 = first + step * j
+    m0 = (c - v * first) // (alpha * u) - alpha * (v // c) * j
+    x0 = u * m0 + b * n0
+    y0 = p * n0
+    keep = (n0 != 0) & (np.abs(m0) <= box) & (x0 != 0)
+    keep[keep] = np.gcd(x0[keep], y0[keep]) == c
+    sign_ok = ((x0 < 0) != (y0 < 0)) & (alpha * v > 0)
+    cols = np.broadcast_arrays(alpha, beta, m0, n0, x0, y0, sign_ok)
+    return np.array(cols, dtype=np.int64)[:, keep]
+
+
+def _box_pick(lat: CanonicalFinite, c: int, cands: np.ndarray) -> SigmaParams:
+    """The preferred column: small |m0|, |n0|, alpha = +1, then (beta, m0, n0)."""
+    i = np.lexsort((cands[3], cands[2], cands[1], cands[0] != 1,
+                    np.abs(cands[3]), np.abs(cands[2])))[0]
+    alpha, beta, m0, n0, x0, y0, sign_ok = (int(x) for x in cands[:, i])
+    return SigmaParams(alpha=alpha, beta=beta, gamma=-y0 // c, delta=x0 // c,
+                       m0=m0, n0=n0, gcd_c=c,
+                       lcm_d=alpha * lat.time_step * (alpha * lat.b + beta * lat.p) // c,
+                       s=c, t=-(x0 * y0) // c, L=lat.L, p=lat.p, b=lat.b,
+                       aligned=(c == lat.time_step), sign_adjusted=not sign_ok)
+
+
+def box_search(lat: CanonicalFinite, box: int) -> SigmaParams:
+    """The first admissible candidate in the preference order: rows by -c,
+    then |beta|; the first sign-ok candidate wins, and if the largest c with
+    candidates has none, its first candidate does (sign_adjusted)."""
+    L, p, b, u = lat.L, lat.p, lat.b, lat.time_step
+    beta = np.arange(-box, box + 1)
+    alpha = np.repeat([1, -1], len(beta))
+    beta = np.tile(beta, 2)
+    v = alpha * b + beta * p
+    keep = (v != 0) & _admissible(beta, L)
+    alpha, beta, c = alpha[keep], beta[keep], np.gcd(u, v[keep])
+    order = np.lexsort((np.abs(beta), -c))
+    fallback = None
+    for (cr, _), rows in groupby(order, key=lambda r: (int(c[r]), abs(beta[r]))):
+        if fallback is not None and cr != fallback.gcd_c:
+            return fallback
+        cands = np.concatenate([_box_row_candidates(lat, box, int(alpha[r]), int(beta[r]))
+                                for r in rows], axis=1)
+        ok = cands[6] == 1
+        if ok.any():
+            return _box_pick(lat, cr, cands[:, ok])
+        if cands.shape[1] and fallback is None:
+            fallback = _box_pick(lat, cr, cands)
+    if fallback is not None:
+        return fallback
+    raise ParameterSearchError(
+        f"no admissible symplectic parameters for (L, p, b) = "
+        f"({L}, {p}, {b}) in box [-{box}, {box}]")
 
 
 @dataclass(frozen=True)
@@ -287,7 +356,7 @@ def periodized_gram(family, m_range, L: int) -> np.ndarray:
     return M @ M.conj().T
 
 
-# -- dense eigensolver, window evaluation, single elements and points -------
+# -- dense eigensolver, vectors, windows, single elements and points -------
 
 class OperatorError(ValueError):
     """Operator input violates a precondition (not Hermitian, singular...)."""
@@ -332,6 +401,33 @@ def ft_at(w: DiscreteWindow, t) -> np.ndarray:
 def gabor_element(sys: GaborSystem, m: int, n: int) -> np.ndarray:
     N = sys.L // sys.lattice.p
     return sys.elements[(m % (2 * sys.lattice.p)) * N + (n % N)]
+
+
+def wilson_element(sys: WilsonSystem, m: int, n: int) -> np.ndarray:
+    q, top = sys.params.q, sys.params.gcd_c
+    if not (0 <= n <= top and 0 <= m < (q if n in (0, top) else 2 * q)):
+        raise ValueError(f"({m}, {n}) is not a Wilson index of {sys.lattice}")
+    return sys.basis[m + max(2 * n - 1, 0) * q]
+
+
+def scaled(w: DiscreteWindow, c: complex) -> DiscreteWindow:
+    return DiscreteWindow(w.start, c * w.values)
+
+
+def idft(F) -> np.ndarray:
+    F = as_window(F)
+    return np.fft.ifft(F) * len(F)
+
+
+def inner(f, g) -> complex:
+    f, g = as_window(f), as_window(g)
+    if len(f) != len(g):
+        raise ValueError("length mismatch")
+    return complex(np.vdot(g, f) / len(f))
+
+
+def norm(f) -> float:
+    return float(np.sqrt(abs(inner(f, f))))
 
 
 def is_tight(sys: GaborSystem, bound: float = 2.0, tol: float = DEFAULT_TOL) -> bool:

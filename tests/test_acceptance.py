@@ -12,7 +12,7 @@ import pytest
 
 from oracles import (gram_discrete, intertwining_phase, is_tight, map_point,
                      periodized_gram, phi_inverse, phi_map, phi_params_discrete,
-                     phi_params_finite)
+                     phi_params_finite, wilson_element)
 from wilsonlat.gabor import gabor_system, tighten, tightness_deviation
 from wilsonlat.metaplectic import metaplectic_matrix, sigma_params
 from wilsonlat.ring import (CanonicalFinite, GeneratorMatrix, canonical_finite,
@@ -248,7 +248,7 @@ def test_criterion_7_worked_closed_form():
                 expected[(m, n)] = -np.sqrt(2) * np.sin(2 * np.pi * l * n / 8)
     worst = 0.0
     for (m, n), want in expected.items():
-        worst = max(worst, float(np.max(np.abs(sys.element(m, n) - want))))
+        worst = max(worst, float(np.max(np.abs(wilson_element(sys, m, n) - want))))
     dev = gram_deviation(sys)
     assert worst < 1e-12 and dev < 1e-12
     print(f"\nACCEPTANCE 7 PASS: closed-form real Fourier basis, element error "

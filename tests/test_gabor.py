@@ -3,12 +3,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import gabor_element, herm_inv_sqrt, is_tight
+from oracles import gabor_element, herm_inv_sqrt, inner, is_tight
 from wilsonlat.gabor import FrameError, frame_operator, gabor_system, symmetrize, tighten
 from wilsonlat.metaplectic import metaplectic_matrix, sigma_params
 from wilsonlat.ring import CanonicalFinite
 from wilsonlat.rng import SplitMix64
-from wilsonlat.signal import dft, inner, tf_shift, unitary_dft
+from wilsonlat.signal import dft, tf_shift, unitary_dft
 from wilsonlat.zak import frame_symbol
 
 

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wilsonlat
-from oracles import (candidates, continuous_factor, dense_metaplectic, intertwining_phase,
-                     map_point, phi_params_finite)
+from oracles import (box_search, candidates, continuous_factor, dense_metaplectic,
+                     intertwining_phase, map_point, phi_params_finite)
 from wilsonlat import cli, metaplectic, wilson
 from wilsonlat.gabor import tighten
 from wilsonlat.metaplectic import (ParameterSearchError, SigmaParams, apply_continuous_U,
@@ -282,6 +282,14 @@ def sheared_lattices(max_L):
             for b in range(1, L // (2 * p))]
 
 
+def searched(search, lat, box):
+    """The bundle a search returns, or None where it raises."""
+    try:
+        return search(lat, box)
+    except ParameterSearchError:
+        return None
+
+
 def dense_admissible(sp):
     try:
         dense_metaplectic(sp)
@@ -357,6 +365,47 @@ class TestClosedFormSearch:
                 outcomes.add(None if want is None else (want.aligned, want.sign_adjusted))
         # every branch is reached: no candidate, aligned or not, sign-adjusted or not
         assert outcomes >= {None, (True, False), (False, False), (False, True)}
+
+
+class TestResidueClassSearch:
+    """sigma_params visits residue classes of beta and n0 only, and picks
+    what the walk over the whole (4L+1)-wide beta box picks."""
+
+    def test_matches_box_search_on_small_lattices(self):
+        for lat in sheared_lattices(48):
+            for box in (*range(-1, 8), None):
+                want = searched(box_search, lat, 2 * lat.L if box is None else box)
+                assert searched(sigma_params, lat, box) == want, (lat, box)
+
+    def test_matches_box_search_on_the_benchmark_families(self):
+        lattices = [CanonicalFinite(L, p, b) for L, p in ((512, 1), (384, 3), (512, 2))
+                    for b in range(1, L // (2 * p))]
+        assert len(lattices) == 255 + 63 + 127
+        for lat in lattices:
+            assert sigma_params(lat) == box_search(lat, 2 * lat.L), lat
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_box_search_generated(self, data):
+        half = data.draw(st.integers(2, 2048), label="L/2")
+        p = data.draw(st.sampled_from([d for d in range(1, half) if half % d == 0]), label="p")
+        b = data.draw(st.integers(1, half // p - 1), label="b")
+        lat = CanonicalFinite(2 * half, p, b)
+        box = data.draw(st.integers(-1, 2 * lat.L), label="box")
+        assert searched(sigma_params, lat, box) == searched(box_search, lat, box)
+
+    @pytest.mark.parametrize("lat, sigma", [
+        (CanonicalFinite(2 ** 20, 1, 1), (1, 524287, -1, -524286)),
+        (CanonicalFinite(2 ** 20, 2, 6), (1, 131069, -1, -131068))])
+    def test_cold_search_at_the_largest_lattices(self, lat, sigma):
+        tracemalloc.start()
+        try:
+            sp = sigma_params.__wrapped__(lat)  # bypass the cache: a cold search
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (sp.alpha, sp.beta, sp.gamma, sp.delta) == sigma
+        assert peak < 2 ** 20  # the box walk peaked at 720 MB
 
 
 def test_transport_never_calls_dense_oracle(monkeypatch):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import OperatorError, ft_at, herm_inv_sqrt, value_at
+from oracles import OperatorError, ft_at, herm_inv_sqrt, idft, inner, norm, value_at
 from wilsonlat.gabor import gabor_system
 from wilsonlat.metaplectic import meta_finite, sigma_params
 from wilsonlat.ring import CanonicalFinite
 from wilsonlat.rng import SplitMix64
-from wilsonlat.signal import (DiscreteWindow, FrameError, dft, idft, inner, norm,
-                              read_window_csv, tf_shift, unitary_dft, write_window_csv)
+from wilsonlat.signal import (DiscreteWindow, FrameError, dft, read_window_csv, tf_shift,
+                              unitary_dft, write_window_csv)
 from wilsonlat.wilson import wilson_finite
 from wilsonlat.zak import frame_symbol
 

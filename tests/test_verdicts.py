@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import wilsonlat
 from oracles import ambiguity_table, scan_gram_deviation
-from wilsonlat import cli, gabor, metaplectic, wilson
+from wilsonlat import cli, gabor, metaplectic, wilson, zak
 from wilsonlat.gabor import (frame_bounds, frame_operator, gabor_system,
                              spectral_deviation, tighten, tightness_deviation)
 from wilsonlat.metaplectic import meta_finite, sigma_params
@@ -149,6 +149,25 @@ def test_riesz_bounds_never_transport(monkeypatch):
     AW, BW = riesz_bounds(sys)
     assert abs(AW - 1) <= TOL and abs(BW - 1) <= TOL
     assert gram_deviation(sys) <= TOL
+
+
+def test_one_frame_symbol_per_window(monkeypatch):
+    """A report builds the symbol of g over the lattice and of U^{-1} g over
+    the rectangle once each; tightness and Riesz bounds share them."""
+    built, real = [], zak.frame_symbol
+
+    def counting(g, lat):
+        built.append(lat)
+        return real(g, lat)
+
+    for module in (wilsonlat, zak, gabor, wilson):
+        monkeypatch.setattr(module, "frame_symbol", counting)
+    lat = CanonicalFinite(512, 1, 37)
+    g = tighten(meta_finite(SplitMix64(91).real_dft_window(lat.L), sigma_params(lat)), lat)
+    built.clear()
+    report = equivalence_report(g, lat)
+    assert all(report.verdicts())
+    assert built == [lat, CanonicalFinite(lat.L, report.params.q, 0)]
 
 
 def test_ambiguity_table_is_the_lattice_of_inner_products():

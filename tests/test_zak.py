@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import correlation_sums_discrete, ft_at, is_tight
+from oracles import correlation_sums_discrete, ft_at, is_tight, scaled
 from wilsonlat.gabor import gabor_system, tighten
 from wilsonlat.ring import CanonicalFinite
 from wilsonlat.rng import SplitMix64
@@ -182,7 +182,7 @@ class TestCorrelationDiscrete:
     def test_homogeneity_degree_two(self):
         g = DiscreteWindow(-1, [0.5, 1.0, 0.25])
         _, s1 = correlation_sums_discrete(g, 4, 33)
-        _, s2 = correlation_sums_discrete(g.scaled(2.0), 4, 33)
+        _, s2 = correlation_sums_discrete(scaled(g, 2.0), 4, 33)
         assert np.max(np.abs(s2 - 4 * s1)) < 1e-12
 
     def test_sampling_consistent_on_nested_grids(self):
