@@ -6,9 +6,10 @@ Reports are JSON on stdout with sorted keys, so identical inputs (and
 codes: 0 success / verdict true, 1 verdict false, 2 usage error (a bad
 flag, WILSON_TOL or file: missing, unreadable, malformed, unwritable; a
 window whose length is not the lattice's L; a --lattice with L > 2**20, or
-with L > 4096 for wilson build; a demo-hex --L that is not the square of an
-even integer in [64, 4096] or a --nu that is not finite positive), 3
-numerical failure.  WILSON_TOL (finite > 0) replaces the 1e-9 default.
+with L > 4096 for wilson build, the one command that makes an L x L array;
+a demo-hex --L that is not the square of an even integer in [64, 2**20] or
+a --nu that is not finite positive), 3 numerical failure.  WILSON_TOL
+(finite > 0) replaces the 1e-9 default.
 """
 
 from __future__ import annotations
@@ -157,9 +158,9 @@ def cmd_wilson_verify(args, t0: float) -> int:
 
 def cmd_demo_hex(args, t0: float) -> int:
     root = math.isqrt(max(args.L, 0))
-    if not 64 <= args.L <= wilson.DENSE_MAX_L or root * root != args.L or root % 2:
+    if not 64 <= args.L <= ring.MAX_L or root * root != args.L or root % 2:
         raise SystemExit("--L must be the square of an even integer in "
-                         f"[64, {wilson.DENSE_MAX_L}], got {args.L}")
+                         f"[64, {ring.MAX_L}], got {args.L}")
     if not 0 < args.nu < math.inf:
         raise SystemExit(f"--nu must be a finite positive number, got {args.nu}")
     rep = wilson.wilson_continuous_demo(args.nu, args.L)

@@ -47,6 +47,7 @@ The continuous-domain analogue U = D_{1/d} o F o N_{-b/d} o F^{-1} (for a
 canonical real lattice [[a, b], [0, d]] of volume 1/2) is discretized on
 the sqrt(L)-spaced grid for the demonstration pipeline; it sends the
 lattice {(ma+nb, nd)} onto {(m/2, n)} through A = [[d, -b], [0, 2a]].
+Its dilation is a chirp-z transform: O(L log L) time, O(L) memory.
 """
 
 from __future__ import annotations
@@ -74,12 +75,11 @@ class SigmaParams:
 
     alpha..delta are the exact integers of the symplectic matrix (alpha
     delta - beta gamma = 1 over Z, not just mod L); m0, n0 the Bezout pair
-    with alpha*(L/2p)*m0 + (alpha b + beta p)*n0 = gcd_c; s = gcd_c and
-    t = -(L/(2p) m0 + b n0)(p n0)/s; lcm_d is the signed product
-    alpha*(L/2p)*(alpha b + beta p)/gcd_c.  ``aligned`` records whether
-    sigma maps the lattice onto the rectangle with the same p;
-    ``sign_adjusted`` whether the preferred sign conditions had to be
-    dropped (gamma, delta absorb the change of signs).
+    with alpha*(L/2p)*m0 + (alpha b + beta p)*n0 = gcd_c; lcm_d is the signed
+    product alpha*(L/2p)*(alpha b + beta p)/gcd_c.  ``sign_adjusted`` records
+    whether the preferred sign conditions had to be dropped (gamma, delta
+    absorb the change of signs).  lcm_d and sign_adjusted are fields, not
+    properties: the identity bundle of b = 0 breaks their formulas.
     """
 
     alpha: int
@@ -90,12 +90,9 @@ class SigmaParams:
     n0: int
     gcd_c: int
     lcm_d: int
-    s: int
-    t: int
     L: int
     p: int
     b: int
-    aligned: bool = True
     sign_adjusted: bool = False
 
     def __post_init__(self):
@@ -109,12 +106,22 @@ class SigmaParams:
         """Frequency step of the rectangular image lattice (L, q, 0)."""
         return self.L // (2 * self.gcd_c)
 
+    @property
+    def t(self) -> int:
+        """-(L/(2p) m0 + b n0)(p n0)/gcd_c = gamma delta gcd_c."""
+        return self.gamma * self.delta * self.gcd_c
+
+    @property
+    def aligned(self) -> bool:
+        """Whether sigma maps the lattice onto the rectangle with the same p."""
+        return self.gcd_c == self.L // (2 * self.p)
+
     def to_json(self) -> dict:
         return {"L": self.L, "p": self.p, "b": self.b,
                 "alpha": self.alpha, "beta": self.beta,
                 "gamma": self.gamma, "delta": self.delta,
                 "m0": self.m0, "n0": self.n0,
-                "c": self.gcd_c, "d": self.lcm_d, "s": self.s, "t": self.t,
+                "c": self.gcd_c, "d": self.lcm_d, "s": self.gcd_c, "t": self.t,
                 "q": self.q, "aligned": self.aligned,
                 "sign_adjusted": self.sign_adjusted}
 
@@ -189,8 +196,7 @@ def _identity_params(lat: CanonicalFinite) -> SigmaParams:
     # Bezout data degenerates (n0 = 0 makes the generic formulas undefined).
     c = lat.time_step
     return SigmaParams(alpha=1, beta=0, gamma=0, delta=1, m0=1, n0=0,
-                       gcd_c=c, lcm_d=c, s=c, t=0,
-                       L=lat.L, p=lat.p, b=0, aligned=True, sign_adjusted=False)
+                       gcd_c=c, lcm_d=c, L=lat.L, p=lat.p, b=0, sign_adjusted=False)
 
 
 def _beta_groups(r: int, m: int, top: int):
@@ -230,8 +236,7 @@ def _pick(lat: CanonicalFinite, c: int, cols: list[tuple]) -> SigmaParams:
     return SigmaParams(alpha=1, beta=beta, gamma=-y0 // c, delta=x0 // c,
                        m0=m0, n0=n0, gcd_c=c,
                        lcm_d=lat.time_step * (lat.b + beta * lat.p) // c,
-                       s=c, t=-(x0 * y0) // c, L=lat.L, p=lat.p, b=lat.b,
-                       aligned=(c == lat.time_step), sign_adjusted=not sign_ok)
+                       L=lat.L, p=lat.p, b=lat.b, sign_adjusted=not sign_ok)
 
 
 def _search(lat: CanonicalFinite, box: int) -> SigmaParams:
@@ -275,20 +280,27 @@ def sigma_params(lat: CanonicalFinite, box: int | None = None) -> SigmaParams:
     return _search(lat, 2 * lat.L if box is None else box)
 
 
-def _trig_resample(f: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Evaluate the centered trigonometric interpolant at real grid positions."""
-    L = len(f)
-    F = centered_dft(f)
-    j = np.arange(L) - L / 2
-    ker = np.exp(2j * np.pi * np.outer(positions - L / 2, j) / L)
-    return ker @ F / np.sqrt(L)
-
-
 def _dilate(f: np.ndarray, scale: float) -> np.ndarray:
-    """D_{1/scale} f on the grid: new(t) = |1/scale|^{1/2} f(t / scale)."""
+    """D_{1/scale} f on the grid: new(t) = |1/scale|^{1/2} f(t / scale).
+
+    The centered interpolant sum_J F_J e^{2 pi i K J/(scale L)} / sqrt(L), F =
+    centered_dft(f), at u_k = K/scale + L/2, K = k - L/2: with 2KJ = K^2 + J^2
+    - (K - J)^2 one chirp-z convolution (Bluestein, 1970), a length-2L FFT
+    pair.  u_k outside the period [0, L) reads 0, not the periodic
+    continuation, which would fold the far side of f onto the grid edges.
+    """
     L = len(f)
-    u = (np.arange(L) - L / 2) / scale + L / 2
-    return _trig_resample(f, u) / np.sqrt(abs(scale))
+
+    def chirp(x):  # e^{i pi x^2/(scale L)}, the exponent reduced mod 2 pi
+        return np.exp(1j * np.pi * ((x * x / (scale * L)) % 2.0))
+
+    K = np.arange(L) - L / 2
+    edge = chirp(K)
+    kernel = np.fft.fft(chirp(np.fft.ifftshift(np.arange(-L, L))).conj())
+    out = np.fft.ifft(np.fft.fft(centered_dft(f) * edge, 2 * L) * kernel)[:L] * edge
+    u = K / scale + L / 2
+    out[(u < 0) | (u >= L)] = 0
+    return out / np.sqrt(L * abs(scale))
 
 
 def apply_continuous_U(f, lat, inverse: bool = False) -> np.ndarray:
@@ -296,9 +308,9 @@ def apply_continuous_U(f, lat, inverse: bool = False) -> np.ndarray:
 
     ``lat`` is a CanonicalReal or an (a, b, d) triple with a d = 1/2.  The
     grid samples f at t_k = (k - L/2)/sqrt(L); the chirp is the sample
-    multiplication e^{+pi i (b/d) t^2} and the dilation is DFT-domain
-    resampling with periodic sinc interpolation.  ``inverse`` applies
-    U^{-1} = F o N_{b/d} o F^{-1} o D_d.
+    multiplication e^{+pi i (b/d) t^2} and the dilation reads the periodic
+    sinc interpolant through a chirp-z transform (:func:`_dilate`).
+    ``inverse`` applies U^{-1} = F o N_{b/d} o F^{-1} o D_d.
     """
     f = as_window(f)
     L = len(f)
@@ -312,11 +324,5 @@ def apply_continuous_U(f, lat, inverse: bool = False) -> np.ndarray:
     t = (np.arange(L) - L / 2) / root
     chirp = np.exp(1j * np.pi * (b / d) * t * t)
     if not inverse:
-        out = centered_dft(f, inverse=True)
-        out = out * chirp
-        out = centered_dft(out)
-        return _dilate(out, d)
-    out = _dilate(f, 1.0 / d)
-    out = centered_dft(out, inverse=True)
-    out = out * np.conj(chirp)
-    return centered_dft(out)
+        return _dilate(centered_dft(centered_dft(f, inverse=True) * chirp), d)
+    return centered_dft(centered_dft(_dilate(f, 1.0 / d), inverse=True) * chirp.conj())

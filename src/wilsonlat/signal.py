@@ -50,13 +50,13 @@ def unitary_dft(f) -> np.ndarray:
 def centered_dft(f: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Unitary DFT on the symmetric grid: indices j, k measured from L/2."""
     L = len(f)
-    k = np.arange(L)
-    sign = 1.0 if inverse else -1.0
-    # (j - L/2)(k - L/2) = jk - (L/2)(j + k) + L^2/4
-    pre = np.exp(sign * -1j * np.pi * k) * f
-    out = np.fft.ifft(pre) * L if inverse else np.fft.fft(pre)
-    out *= np.exp(sign * -1j * np.pi * k) * np.exp(sign * 1j * np.pi * L / 2)
-    return out / np.sqrt(L)
+    # (j - L/2)(k - L/2) = jk - (L/2)(j + k) + L^2/4; the phases e^{i pi k} =
+    # (-1)^k and e^{i pi L/2} = i^L are exact (np.exp would lose about k eps)
+    alt = 1 - 2 * (np.arange(L) % 2)
+    quarter = (1, 1j, -1, -1j)[L % 4]
+    if inverse:
+        return np.fft.ifft(alt * f) * (alt * (quarter * np.sqrt(L)))
+    return np.fft.fft(alt * f) * (alt * (quarter.conjugate() / np.sqrt(L)))
 
 
 def real_spectrum(g, tol: float = REAL_SPECTRUM_TOL) -> np.ndarray:

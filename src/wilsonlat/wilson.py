@@ -64,12 +64,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isqrt
 
 import numpy as np
 
 from .gabor import FrameError, tighten
 from .metaplectic import SigmaParams, apply_continuous_U, meta_finite, sigma_params
-from .ring import CanonicalFinite, LatticeError, ext_gcd
+from .ring import MAX_L, CanonicalFinite, LatticeError, ext_gcd
 from .signal import (DEFAULT_TOL, DiscreteWindow, as_window, centered_dft,
                      real_spectrum, tf_shift)
 from .zak import FrameSymbol, frame_symbol
@@ -335,9 +336,8 @@ HEX_A = 3.0 ** (-0.25)          # canonical hexagonal lattice scaled to volume 1
 HEX_B = HEX_A / 2.0
 HEX_D = 3.0 ** 0.25 / 2.0
 M_MAX = N_MAX = 2               # Gram index window |m| <= M_MAX, 0 <= n <= N_MAX
-# largest L of every L x L array the CLI makes: the demo's interpolation
-# kernel peaks near 32 L^2 bytes (543 MB RSS at L = 4096), the basis gather
-# of ``wilson build`` at 933 MB RSS at (4096, 4, 1)
+# largest L of the L x L basis that ``wilson build`` gathers (933 MB RSS at
+# (4096, 4, 1))
 DENSE_MAX_L = 4096
 
 
@@ -360,17 +360,13 @@ class ContinuousDemoReport:
 
 
 def _grid(L: int) -> tuple[int, np.ndarray]:
-    root = int(round(np.sqrt(L)))
-    if root * root != L or root % 2:
-        raise ValueError("demo requires L to be the square of an even integer")
+    """sqrt(L) and the demo grid t_k = (k - L/2)/sqrt(L); ValueError unless L
+    is the square of an even integer in [64, MAX_L]."""
+    root = isqrt(max(L, 0))
+    if not 64 <= L <= MAX_L or root * root != L or root % 2:
+        raise ValueError("demo requires L to be the square of an even integer "
+                         f"in [64, {MAX_L}], got {L}")
     return root, (np.arange(L) - L / 2) / root
-
-
-def _frac_shift(f: np.ndarray, x_grid: float) -> np.ndarray:
-    L = len(f)
-    F = centered_dft(f)
-    j = np.arange(L) - L / 2
-    return centered_dft(F * np.exp(-2j * np.pi * j * x_grid / L), inverse=True)
 
 
 def continuous_wilson_gram(g: np.ndarray, a: float, b: float, d: float) -> float:
@@ -378,23 +374,25 @@ def continuous_wilson_gram(g: np.ndarray, a: float, b: float, d: float) -> float
 
     Assembles the volume-1/2 continuous-setting Wilson elements for the
     lattice [[a, b], [0, d]] on the sqrt(L) grid over a fixed index window
-    and measures ||Gram - I||_max under the normalized inner product.
+    and measures ||Gram - I||_max under the normalized inner product, each
+    atom a phase ramp on one spectrum: O(L log L) time, O(L) memory.
     """
     L = len(g)
     root, t = _grid(L)
+    G = centered_dft(g)
+    j = np.arange(L) - L / 2
 
     def atom(m: int, n: int) -> np.ndarray:
-        return _frac_shift(g, (m * a + n * b) * root) * np.exp(2j * np.pi * n * d * t)
+        shift = np.exp(-2j * np.pi * j * ((m * a + n * b) * root) / L)
+        return centered_dft(G * shift, inverse=True) * np.exp(2j * np.pi * n * d * t)
 
-    rows = []
-    for n in range(N_MAX + 1):
-        phase = np.exp(-1j * np.pi * b * d * n * n)
-        for m in range(-M_MAX, M_MAX + 1):
-            m1, c1, c2 = wilson_pair(m, n, None)
-            rows.append(phase * (c1 * atom(m1, n) + c2 * atom(m, -n)))
-    B = np.array(rows)
-    G = B @ B.conj().T / L
-    return float(np.max(np.abs(G - np.eye(len(rows)))))
+    index = [(m, n) for n in range(N_MAX + 1) for m in range(-M_MAX, M_MAX + 1)]
+    B = np.empty((len(index), L), dtype=complex)
+    for row, (m, n) in zip(B, index):
+        m1, c1, c2 = wilson_pair(m, n, None)
+        row[:] = np.exp(-1j * np.pi * b * d * n * n) * (c1 * atom(m1, n) + c2 * atom(m, -n))
+    gram = B @ B.conj().T / L
+    return float(np.max(np.abs(gram - np.eye(len(index)))))
 
 
 def wilson_continuous_demo(nu: float, L: int) -> ContinuousDemoReport:
@@ -409,8 +407,6 @@ def wilson_continuous_demo(nu: float, L: int) -> ContinuousDemoReport:
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
-    if not 64 <= L <= DENSE_MAX_L:
-        raise ValueError(f"demo requires 64 <= L <= {DENSE_MAX_L}")
     root, t = _grid(L)
     h = (2 * nu) ** 0.25 * np.exp(-nu * np.pi * t * t) + 0j
     rect = CanonicalFinite(L, root, 0)
@@ -420,12 +416,8 @@ def wilson_continuous_demo(nu: float, L: int) -> ContinuousDemoReport:
     hex_dev = continuous_wilson_gram(g, HEX_A, HEX_B, HEX_D)
     rect_dev = continuous_wilson_gram(w, 0.5, 0.0, 1.0)
 
-    mass = np.sum(np.abs(g) ** 2)
-    mean_t = np.sum(t * np.abs(g) ** 2) / mass
-    time_spread = float(np.sqrt(np.sum((t - mean_t) ** 2 * np.abs(g) ** 2) / mass))
-    G = centered_dft(g)
-    f = (np.arange(L) - L / 2) / root
-    massf = np.sum(np.abs(G) ** 2)
-    mean_f = np.sum(f * np.abs(G) ** 2) / massf
-    freq_spread = float(np.sqrt(np.sum((f - mean_f) ** 2 * np.abs(G) ** 2) / massf))
-    return ContinuousDemoReport(L, nu, g, hex_dev, rect_dev, time_spread, freq_spread)
+    def spread(v: np.ndarray) -> float:  # t also grids the centered frequencies
+        density = np.abs(v) ** 2 / np.sum(np.abs(v) ** 2)
+        return float(np.sqrt(np.sum((t - np.sum(t * density)) ** 2 * density)))
+
+    return ContinuousDemoReport(L, nu, g, hex_dev, rect_dev, spread(g), spread(centered_dft(g)))

@@ -11,7 +11,9 @@ the whole (4L+1)-wide beta box by level c and |beta|, the search that
 maps phi of the finite Wilson gather and of the sequence lattice;
 ``correlation_sums_discrete`` is the sequence correlation fold without
 the conjugate, and ``gram_discrete`` / ``periodized_gram`` are the
-counting-measure Grams of sequence families.
+counting-measure Grams of sequence families.  ``trig_resample`` evaluates
+the centered trigonometric interpolant through the L x L kernel that the
+chirp-z ``metaplectic._dilate`` replaces.
 
 ``herm_inv_sqrt`` is the dense eigensolver that the frame-symbol
 ``tighten`` is checked against, and ``is_tight`` the entrywise tightness
@@ -66,7 +68,7 @@ import numpy as np
 from wilsonlat.gabor import GaborSystem, tightness_deviation
 from wilsonlat.metaplectic import UNITARY_TOL, ParameterSearchError, SigmaParams, _admissible
 from wilsonlat.ring import CanonicalFinite, CanonicalReal, LatticeError, ext_gcd
-from wilsonlat.signal import COND_FLOOR, DEFAULT_TOL, DiscreteWindow, as_window
+from wilsonlat.signal import COND_FLOOR, DEFAULT_TOL, DiscreteWindow, as_window, centered_dft
 from wilsonlat.wilson import WilsonSystem
 from wilsonlat.zak import frame_symbol
 
@@ -131,8 +133,7 @@ def candidates(lat: CanonicalFinite, box: int):
     cols = (w[order].tolist() for w in (alpha, beta, v, c, m0, n0, x0, y0, sign_ok))
     return (SigmaParams(alpha=alpha, beta=beta, gamma=-y0 // c, delta=x0 // c,
                         m0=m0, n0=n0, gcd_c=c, lcm_d=alpha * u * v // c,
-                        s=c, t=-(x0 * y0) // c, L=L, p=p, b=b,
-                        aligned=(c == u), sign_adjusted=not sign_ok)
+                        L=L, p=p, b=b, sign_adjusted=not sign_ok)
             for alpha, beta, v, c, m0, n0, x0, y0, sign_ok in zip(*cols))
 
 
@@ -164,8 +165,7 @@ def _box_pick(lat: CanonicalFinite, c: int, cands: np.ndarray) -> SigmaParams:
     return SigmaParams(alpha=alpha, beta=beta, gamma=-y0 // c, delta=x0 // c,
                        m0=m0, n0=n0, gcd_c=c,
                        lcm_d=alpha * lat.time_step * (alpha * lat.b + beta * lat.p) // c,
-                       s=c, t=-(x0 * y0) // c, L=lat.L, p=lat.p, b=lat.b,
-                       aligned=(c == lat.time_step), sign_adjusted=not sign_ok)
+                       L=lat.L, p=lat.p, b=lat.b, sign_adjusted=not sign_ok)
 
 
 def box_search(lat: CanonicalFinite, box: int) -> SigmaParams:
@@ -251,6 +251,15 @@ def continuous_factor(lat: CanonicalReal | tuple) -> ContinuousFactorization:
                    abs(float(got[1]) - float(want[1])) > 1e-12:
                     raise LatticeError("factorization point map failed numerically")
     return fact
+
+
+def trig_resample(f: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Evaluate the centered trigonometric interpolant at real grid positions."""
+    L = len(f)
+    F = centered_dft(f)
+    j = np.arange(L) - L / 2
+    ker = np.exp(2j * np.pi * np.outer(positions - L / 2, j) / L)
+    return ker @ F / np.sqrt(L)
 
 
 def phi_params_finite(sp: SigmaParams) -> PhiParams:

@@ -269,7 +269,7 @@ def test_window_length_mismatch_exit2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("args", [["--L", "0"], ["--L", "7"], ["--L", "36"], ["--L", "-64"],
                                   ["--nu", "-1"], ["--nu", "0"], ["--nu", "nan"],
-                                  ["--L", "4356"]])
+                                  ["--L", "1052676"]])
 def test_demo_hex_bad_arguments_exit2(capsys, args):
     code, out, err = run(capsys, "demo-hex", *args)
     assert code == 2

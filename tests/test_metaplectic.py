@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import wilsonlat
 from oracles import (box_search, candidates, continuous_factor, dense_metaplectic,
-                     intertwining_phase, map_point, phi_params_finite)
+                     intertwining_phase, map_point, phi_params_finite, trig_resample)
 from wilsonlat import cli, metaplectic, wilson
 from wilsonlat.gabor import tighten
 from wilsonlat.metaplectic import (ParameterSearchError, SigmaParams, apply_continuous_U,
@@ -20,7 +20,7 @@ from wilsonlat.metaplectic import (ParameterSearchError, SigmaParams, apply_cont
 from wilsonlat.ring import CanonicalFinite, CanonicalReal, LatticeError
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import DiscreteWindow, centered_dft, tf_shift
-from wilsonlat.wilson import chirp_discrete
+from wilsonlat.wilson import HEX_D, chirp_discrete
 
 F = Fraction
 
@@ -48,7 +48,7 @@ class TestSigmaParams:
         sp = sigma_params(CanonicalFinite(8, 1, 3))
         # deterministic output of the preference-ordered search
         assert (sp.alpha, sp.beta, sp.m0, sp.n0) == (1, 1, 5, -4)
-        assert sp.gcd_c == sp.s == 4
+        assert sp.gcd_c == sp.to_json()["s"] == 4
         assert sp.t == 8 and (sp.gamma, sp.delta) == (1, 2)
         assert sp.aligned and not sp.sign_adjusted
 
@@ -66,10 +66,10 @@ class TestSigmaParams:
             u = lat.time_step
             v = sp.alpha * lat.b + sp.beta * lat.p
             assert sp.alpha * u * sp.m0 + v * sp.n0 == sp.gcd_c
-            assert sp.gcd_c == sp.s
+            assert sp.gcd_c == sp.to_json()["s"]
             x0 = u * sp.m0 + lat.b * sp.n0
             y0 = lat.p * sp.n0
-            assert sp.s * sp.t == -x0 * y0
+            assert sp.gcd_c * sp.t == -x0 * y0
             assert sp.gcd_c * sp.lcm_d == sp.alpha * u * v
 
     def test_unitary_everywhere(self):
@@ -84,7 +84,7 @@ class TestSigmaParams:
     def test_invalid_bundle_rejected(self):
         with pytest.raises(LatticeError):
             SigmaParams(alpha=2, beta=0, gamma=0, delta=1, m0=1, n0=0,
-                        gcd_c=1, lcm_d=1, s=1, t=0, L=8, p=1, b=0)
+                        gcd_c=1, lcm_d=1, L=8, p=1, b=0)
 
 
 class TestMetaFinite:
@@ -95,7 +95,7 @@ class TestMetaFinite:
 
     def test_pure_chirp(self):
         sp = SigmaParams(alpha=1, beta=0, gamma=3, delta=1, m0=1, n0=-3,
-                         gcd_c=1, lcm_d=1, s=1, t=3, L=8, p=1, b=1)
+                         gcd_c=1, lcm_d=1, L=8, p=1, b=1)
         U = metaplectic_matrix(sp)
         k = np.arange(8)
         chirp = np.exp(-1j * np.pi * (3 * k * k * 9 % 16) / 8)
@@ -256,6 +256,85 @@ class TestApplyContinuousU:
     def test_zero_d_rejected(self):
         with pytest.raises(LatticeError):
             apply_continuous_U(np.ones(64), (0.5, 0.0, 0.0))
+
+
+def kernel_dilation(f: np.ndarray, scale: float, count: int = 256):
+    """At most ``count`` evenly spread positions k whose u_k lies inside the
+    period [0, L), and the L x L kernel's dilation of f there."""
+    L = len(f)
+    u = (np.arange(L) - L / 2) / scale + L / 2
+    inside = np.flatnonzero((u >= 0) & (u < L))
+    ks = inside[::-(-len(inside) // count)]
+    return ks, trig_resample(f, u[ks]) / np.sqrt(abs(scale))
+
+
+class TestChirpZDilation:
+    @pytest.mark.parametrize("L", [64, 256, 1024, 4096])
+    @pytest.mark.parametrize("scale", [HEX_D, 1 / HEX_D, 2 / 3, 3 / 2])
+    def test_matches_kernel(self, L, scale):
+        f = SplitMix64(L).complex_vector(L)
+        ks, want = kernel_dilation(f, scale)
+        got = metaplectic._dilate(f, scale)[ks]
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_kernel_generated(self, data):
+        L = 2 * data.draw(st.integers(1, 32), label="L/2")
+        scale = data.draw(st.floats(0.25, 4.0), label="scale")
+        f = SplitMix64(L + 1).complex_vector(L)
+        ks, want = kernel_dilation(f, scale)
+        got = metaplectic._dilate(f, scale)[ks]
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_outside_the_period_reads_zero(self):
+        f = SplitMix64(50).complex_vector(64)
+        u = (np.arange(64) - 32) * 2.0 + 32  # scale 1/2
+        outside = (u < 0) | (u >= 64)
+        out = metaplectic._dilate(f, 0.5)
+        assert outside.any() and not out[outside].any() and out[~outside].all()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double here")
+    def test_error_pinned_at_large_L(self):
+        """L = 2^16 at the hexagonal scale, against a long double direct sum
+        at 64 seeded positions: the float64 chirp phases reach about 1e5 rad."""
+        L, scale = 2 ** 16, HEX_D
+        f = SplitMix64(51).complex_vector(L)
+        u = (np.arange(L) - L / 2) / scale + L / 2
+        ks = np.random.default_rng(52).choice(np.flatnonzero((u >= 0) & (u < L)), 64)
+        F = centered_dft(f).astype(np.clongdouble)
+        J = np.arange(L, dtype=np.longdouble) - L // 2
+        want = []
+        for K in ks - L // 2:
+            turns = K * J / (np.longdouble(scale) * L) % 1  # exact K J, reduced in long double
+            phase = 2 * np.pi * turns.astype(float)
+            want.append(np.sum(F * (np.cos(phase) + 1j * np.sin(phase))))
+        want = np.array(want, dtype=complex) / np.sqrt(L * scale)
+        got = metaplectic._dilate(f, scale)[ks]
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_transport_matches_a_wider_grid(self):
+        """At d = 2 and 4 the transported window is the one of the grid with
+        twice the root (half the step, twice the span) at the shared points."""
+        def transported(L, lat):
+            root = np.sqrt(L)
+            t = (np.arange(L) - L / 2) / root
+            w = tighten(2 ** 0.25 * np.exp(-np.pi * t * t) + 0j, CanonicalFinite(L, int(root), 0))
+            return apply_continuous_U(w, lat, inverse=True) / L ** 0.25
+
+        for lat in [(1 / 4, 0, 2), (1 / 4, 1 / 10, 2), (1 / 8, 0, 4)]:
+            small, wide = transported(1024, lat), transported(4096, lat)
+            assert np.max(np.abs(small - wide[2 * np.arange(1024) + 1024])) < 1e-10
+
+
+def test_centered_dft_signs_are_exact():
+    """The centered delta's spectrum is flat to the last bit at L = 2^20."""
+    L = 2 ** 20
+    f = np.zeros(L, dtype=complex)
+    f[L // 2] = 1.0
+    for inverse in (False, True):
+        assert np.max(np.abs(centered_dft(f, inverse) * np.sqrt(L) - 1)) < 1e-15
 
 
 def test_centered_dft_matches_direct():

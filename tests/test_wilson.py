@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,12 @@ from hypothesis import strategies as st
 from oracles import (PhiParams, gram_discrete, periodized_gram, phi_inverse, phi_map,
                      phi_params_discrete, phi_params_finite, wilson_element)
 from wilsonlat.gabor import FrameError, tighten
-from wilsonlat.metaplectic import metaplectic_matrix, sigma_params
+from wilsonlat.metaplectic import apply_continuous_U, metaplectic_matrix, sigma_params
 from wilsonlat.ring import CanonicalFinite, LatticeError
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import DiscreteWindow, tf_shift
-from wilsonlat.wilson import (WilsonSequenceFamily, equivalence_report, gram,
+from wilsonlat.wilson import (HEX_A, HEX_B, HEX_D, WilsonSequenceFamily,
+                              continuous_wilson_gram, equivalence_report, gram,
                               gram_deviation, wilson_continuous_demo, wilson_finite,
                               wilson_index_set, wilson_pair)
 
@@ -370,4 +373,22 @@ class TestContinuousDemo:
         with pytest.raises(ValueError):
             wilson_continuous_demo(1.0, 32)
         with pytest.raises(ValueError):
-            wilson_continuous_demo(1.0, 4356)
+            wilson_continuous_demo(1.0, 1026 ** 2)  # above MAX_L = 1024^2
+
+    @pytest.mark.parametrize("lat", [(1 / 2, 1 / 4, 1), (1, 1 / 3, 1 / 2), (3 / 4, 1 / 2, 2 / 3),
+                                     (1 / 4, 0, 2), (1 / 4, 1 / 10, 2), (HEX_A, HEX_B, HEX_D)])
+    def test_transported_gram_on_volume_half_lattices(self, lat):
+        L = 4096
+        t = (np.arange(L) - L / 2) / 64
+        w = tighten(2 ** 0.25 * np.exp(-np.pi * t * t) + 0j, CanonicalFinite(L, 64, 0))
+        assert continuous_wilson_gram(apply_continuous_U(w, lat, inverse=True), *lat) <= 1e-12
+
+    def test_demo_memory_is_linear(self):
+        L = 2 ** 16
+        tracemalloc.start()
+        try:
+            wilson_continuous_demo(1.0, L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 16 * L  # forty complex L-vectors
