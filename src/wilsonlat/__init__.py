@@ -6,16 +6,16 @@ a sampled continuous demonstration pipeline.
 """
 
 from .gabor import (FrameError, GaborSystem, frame_bounds, frame_operator,
-                    gabor_system, symmetrize, tighten, tightness_deviation)
+                    gabor_system, tighten, tightness_deviation)
 from .metaplectic import (ParameterSearchError, SigmaParams, apply_continuous_U,
-                          meta_finite, metaplectic_matrix, sigma_params)
+                          meta_finite, sigma_params)
 from .ring import (CanonicalDiscrete, CanonicalFinite, CanonicalReal,
                    GeneratorMatrix, LatticeError, canonical_discrete,
                    canonical_finite, ext_gcd, hnf_real, lattice_points_finite)
 from .signal import (DiscreteWindow, centered_dft, dft, real_spectrum, tf_shift,
                      unitary_dft)
 from .wilson import (EquivalenceReport, WilsonSequenceFamily, WilsonSystem,
-                     chirp_discrete, equivalence_report, gram, gram_deviation,
+                     chirp_discrete, equivalence_report, gram_deviation,
                      riesz_bounds, riesz_spectrum, wilson_continuous_demo,
                      wilson_finite, wilson_index_set, wilson_pair)
 from .zak import (FrameSymbol, cond_correlation, cond_correlation_discrete,

@@ -185,12 +185,6 @@ def meta_finite(f, sp: SigmaParams, inverse: bool = False) -> np.ndarray:
     return (c.conjugate() if inverse else c) * _shears(f, sp, inverse)
 
 
-def metaplectic_matrix(sp: SigmaParams) -> np.ndarray:
-    """Dense U (column k = U e_k) from the factored operator: a small-L
-    oracle; production code applies U through :func:`meta_finite`."""
-    return (_unit_constant(sp) * _shears(np.eye(sp.L, dtype=complex), sp, False)).T
-
-
 def _identity_params(lat: CanonicalFinite) -> SigmaParams:
     # b = 0: the lattice is already rectangular; sigma = id, U = id, and the
     # Bezout data degenerates (n0 = 0 makes the generic formulas undefined).

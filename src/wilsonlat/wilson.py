@@ -38,8 +38,8 @@ eps Phi(kappa, .) conj Phi(P kappa, A .) at (b, p).  The spectrum of G is
 that of the blocks [[d(kappa), t], [conj t, d(P kappa)]] / 2, or (d + t)/2
 where P kappa = kappa: ``riesz_bounds`` in O(L log L) time and O(L) memory.
 ``gram_deviation`` = max(B_W - 1, 1 - A_W) = ||G - I||_2 is never below the
-entrywise max|G - I| of the dense oracle ``gram``.  For a transported
-real-spectrum window (A_W, B_W) is half the frame bounds.
+entrywise max|G - I| of the dense Gram (``tests/oracles.py::gram``).  For a
+transported real-spectrum window (A_W, B_W) is half the frame bounds.
 
 Sequence setting.  With c = gcd(N/2, b) and (N/2) m0 + b n0 = c
 (``ext_gcd``), a lattice (N/2, b, 1/N) in Z x T is
@@ -165,12 +165,6 @@ def wilson_finite(g, lat: CanonicalFinite, sp: SigmaParams | None = None) -> Wil
     lattice (the identity bundle for b = 0).
     """
     return WilsonSystem(as_window(g, lat.L), lat, sp or sigma_params(lat))
-
-
-def gram(sys_or_basis) -> np.ndarray:
-    """Gram matrix under the normalized C^L inner product (dense oracle)."""
-    B = sys_or_basis.basis if isinstance(sys_or_basis, WilsonSystem) else np.asarray(sys_or_basis)
-    return B @ B.conj().T / B.shape[1]
 
 
 def riesz_spectrum(sys: WilsonSystem) -> np.ndarray:
@@ -382,17 +376,20 @@ def continuous_wilson_gram(g: np.ndarray, a: float, b: float, d: float) -> float
     G = centered_dft(g)
     j = np.arange(L) - L / 2
 
-    def atom(m: int, n: int) -> np.ndarray:
+    def atom(m: int, n: int, ramp: np.ndarray) -> np.ndarray:
         shift = np.exp(-2j * np.pi * j * ((m * a + n * b) * root) / L)
-        return centered_dft(G * shift, inverse=True) * np.exp(2j * np.pi * n * d * t)
+        return centered_dft(G * shift, inverse=True) * ramp
 
-    index = [(m, n) for n in range(N_MAX + 1) for m in range(-M_MAX, M_MAX + 1)]
-    B = np.empty((len(index), L), dtype=complex)
-    for row, (m, n) in zip(B, index):
-        m1, c1, c2 = wilson_pair(m, n, None)
-        row[:] = np.exp(-1j * np.pi * b * d * n * n) * (c1 * atom(m1, n) + c2 * atom(m, -n))
+    width = 2 * M_MAX + 1
+    B = np.empty(((N_MAX + 1) * width, L), dtype=complex)
+    for n in range(N_MAX + 1):  # each modulation e^{2 pi i n d t} once, at most two held
+        ramp = {s: np.exp(2j * np.pi * s * d * t) for s in {n, -n}}
+        for m in range(-M_MAX, M_MAX + 1):
+            m1, c1, c2 = wilson_pair(m, n, None)
+            B[n * width + m + M_MAX] = np.exp(-1j * np.pi * b * d * n * n) * (
+                c1 * atom(m1, n, ramp[n]) + c2 * atom(m, -n, ramp[-n]))
     gram = B @ B.conj().T / L
-    return float(np.max(np.abs(gram - np.eye(len(index)))))
+    return float(np.max(np.abs(gram - np.eye(len(B)))))
 
 
 def wilson_continuous_demo(nu: float, L: int) -> ContinuousDemoReport:

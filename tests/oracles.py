@@ -15,6 +15,11 @@ counting-measure Grams of sequence families.  ``trig_resample`` evaluates
 the centered trigonometric interpolant through the L x L kernel that the
 chirp-z ``metaplectic._dilate`` replaces.
 
+``metaplectic_matrix`` materializes the factored ``meta_finite`` operator
+column by column, ``gram`` is the dense Wilson Gram, ``symmetrize`` the
+projection onto windows with a real spectrum and ``norm2`` the counting
+norm of a finitely supported sequence.
+
 ``herm_inv_sqrt`` is the dense eigensolver that the frame-symbol
 ``tighten`` is checked against, and ``is_tight`` the entrywise tightness
 verdict of the dense frame operator.  ``idft``, ``inner`` and ``norm`` are
@@ -66,7 +71,8 @@ from math import gcd
 import numpy as np
 
 from wilsonlat.gabor import GaborSystem, tightness_deviation
-from wilsonlat.metaplectic import UNITARY_TOL, ParameterSearchError, SigmaParams, _admissible
+from wilsonlat.metaplectic import (UNITARY_TOL, ParameterSearchError, SigmaParams, _admissible,
+                                   _shears, _unit_constant)
 from wilsonlat.ring import CanonicalFinite, CanonicalReal, LatticeError, ext_gcd
 from wilsonlat.signal import COND_FLOOR, DEFAULT_TOL, DiscreteWindow, as_window, centered_dft
 from wilsonlat.wilson import WilsonSystem
@@ -87,6 +93,11 @@ def dense_metaplectic(sp: SigmaParams) -> np.ndarray:
     if scale2 <= 1e-12 or np.max(np.abs(G - scale2 * np.eye(L))) > UNITARY_TOL * scale2:
         raise ParameterSearchError("metaplectic kernel is not proportional to a unitary")
     return raw / np.sqrt(scale2)
+
+
+def metaplectic_matrix(sp: SigmaParams) -> np.ndarray:
+    """Dense U (column k = U e_k) from the factored operator."""
+    return (_unit_constant(sp) * _shears(np.eye(sp.L, dtype=complex), sp, False)).T
 
 
 def _raw_metaplectic(sp: SigmaParams) -> np.ndarray:
@@ -421,6 +432,24 @@ def wilson_element(sys: WilsonSystem, m: int, n: int) -> np.ndarray:
 
 def scaled(w: DiscreteWindow, c: complex) -> DiscreteWindow:
     return DiscreteWindow(w.start, c * w.values)
+
+
+def norm2(w: DiscreteWindow) -> float:
+    """sum |w(l)|^2 over the support (counting measure)."""
+    return float(np.sum(np.abs(w.values) ** 2))
+
+
+def symmetrize(g) -> np.ndarray:
+    """Project onto windows with real-valued DFT: average g(l) with conj(g(-l))."""
+    g = as_window(g)
+    L = len(g)
+    return 0.5 * (g + np.conj(g[(-np.arange(L)) % L]))
+
+
+def gram(sys_or_basis) -> np.ndarray:
+    """Gram matrix under the normalized C^L inner product."""
+    B = sys_or_basis.basis if isinstance(sys_or_basis, WilsonSystem) else np.asarray(sys_or_basis)
+    return B @ B.conj().T / B.shape[1]
 
 
 def idft(F) -> np.ndarray:

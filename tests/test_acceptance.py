@@ -10,16 +10,16 @@ from math import gcd
 import numpy as np
 import pytest
 
-from oracles import (gram_discrete, intertwining_phase, is_tight, map_point,
-                     periodized_gram, phi_inverse, phi_map, phi_params_discrete,
-                     phi_params_finite, wilson_element)
+from oracles import (gram, gram_discrete, intertwining_phase, is_tight, map_point,
+                     metaplectic_matrix, periodized_gram, phi_inverse, phi_map,
+                     phi_params_discrete, phi_params_finite, wilson_element)
 from wilsonlat.gabor import gabor_system, tighten, tightness_deviation
-from wilsonlat.metaplectic import metaplectic_matrix, sigma_params
+from wilsonlat.metaplectic import sigma_params
 from wilsonlat.ring import (CanonicalFinite, GeneratorMatrix, canonical_finite,
                             lattice_points_finite)
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import DiscreteWindow, tf_shift
-from wilsonlat.wilson import (WilsonSequenceFamily, equivalence_report, gram,
+from wilsonlat.wilson import (WilsonSequenceFamily, equivalence_report,
                               gram_deviation, wilson_continuous_demo, wilson_finite)
 from wilsonlat.zak import cond_correlation, cond_quadrature
 

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import gabor_element, herm_inv_sqrt, inner, is_tight
-from wilsonlat.gabor import FrameError, frame_operator, gabor_system, symmetrize, tighten
-from wilsonlat.metaplectic import metaplectic_matrix, sigma_params
+from oracles import gabor_element, herm_inv_sqrt, inner, is_tight, metaplectic_matrix, symmetrize
+from wilsonlat.gabor import FrameError, frame_operator, gabor_system, tighten, tightness_deviation
+from wilsonlat.metaplectic import sigma_params
 from wilsonlat.ring import CanonicalFinite
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import dft, tf_shift, unitary_dft
@@ -80,6 +82,25 @@ class TestFrameOperator:
             sys = gabor_system(g, CanonicalFinite(L, p, b))
             S = frame_operator(sys)
             assert np.trace(S).real == pytest.approx(2 * L * inner(g, g).real, rel=1e-12)
+
+    def test_blocked_product_matches_one_matmul_on_all_small_lattices(self):
+        rng = SplitMix64(23)
+        for lat in canonical_lattices(48):
+            sys = gabor_system(rng.complex_vector(lat.L), lat)
+            E = sys.elements
+            assert np.max(np.abs(frame_operator(sys) - E.T @ E.conj() / lat.L)) <= 1e-13, lat
+
+    def test_memory_beyond_the_family_is_one_matrix(self):
+        lat = CanonicalFinite(512, 4, 1)
+        sys = gabor_system(SplitMix64(24).complex_vector(lat.L), lat)
+        tracemalloc.start()
+        try:
+            tightness_deviation(sys, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # S (4 MiB) and |S - 2I| (2 MiB); a copy of conj(E) alone is 8 MiB
+        assert peak < 7 * 2 ** 20
 
     def test_commutes_with_lattice_shifts(self):
         rng = SplitMix64(22)

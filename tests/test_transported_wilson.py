@@ -14,13 +14,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import phi_map, phi_params_finite, scan_gram_deviation
+from oracles import gram, metaplectic_matrix, phi_map, phi_params_finite, scan_gram_deviation
 from wilsonlat.gabor import tighten
-from wilsonlat.metaplectic import meta_finite, metaplectic_matrix, sigma_params
+from wilsonlat.metaplectic import meta_finite, sigma_params
 from wilsonlat.ring import CanonicalFinite
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import tf_shift
-from wilsonlat.wilson import (equivalence_report, gram, gram_deviation,
+from wilsonlat.wilson import (equivalence_report, gram_deviation,
                               wilson_finite, wilson_index_set, wilson_pair)
 
 

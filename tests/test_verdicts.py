@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wilsonlat
-from oracles import ambiguity_table, scan_gram_deviation
+from oracles import ambiguity_table, gram, scan_gram_deviation
 from wilsonlat import cli, gabor, metaplectic, wilson, zak
 from wilsonlat.gabor import (frame_bounds, frame_operator, gabor_system,
                              spectral_deviation, tighten, tightness_deviation)
@@ -19,7 +19,7 @@ from wilsonlat.metaplectic import meta_finite, sigma_params
 from wilsonlat.ring import CanonicalFinite, LatticeError
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import write_window_csv
-from wilsonlat.wilson import (equivalence_report, gram, gram_deviation, riesz_bounds,
+from wilsonlat.wilson import (equivalence_report, gram_deviation, riesz_bounds,
                               riesz_spectrum, wilson_finite)
 
 TOL = 1e-9

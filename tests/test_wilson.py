@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (PhiParams, gram_discrete, periodized_gram, phi_inverse, phi_map,
-                     phi_params_discrete, phi_params_finite, wilson_element)
+from oracles import (PhiParams, gram, gram_discrete, metaplectic_matrix, periodized_gram,
+                     phi_inverse, phi_map, phi_params_discrete, phi_params_finite,
+                     wilson_element)
 from wilsonlat.gabor import FrameError, tighten
-from wilsonlat.metaplectic import apply_continuous_U, metaplectic_matrix, sigma_params
+from wilsonlat.metaplectic import apply_continuous_U, sigma_params
 from wilsonlat.ring import CanonicalFinite, LatticeError
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import DiscreteWindow, tf_shift
 from wilsonlat.wilson import (HEX_A, HEX_B, HEX_D, WilsonSequenceFamily,
-                              continuous_wilson_gram, equivalence_report, gram,
+                              continuous_wilson_gram, equivalence_report,
                               gram_deviation, wilson_continuous_demo, wilson_finite,
                               wilson_index_set, wilson_pair)
 
