@@ -157,10 +157,10 @@ def cmd_wilson_verify(args, t0: float) -> int:
 
 
 def cmd_demo_hex(args, t0: float) -> int:
-    root = math.isqrt(max(args.L, 0))
-    if not 64 <= args.L <= ring.MAX_L or root * root != args.L or root % 2:
-        raise SystemExit("--L must be the square of an even integer in "
-                         f"[64, {ring.MAX_L}], got {args.L}")
+    try:
+        wilson._grid(args.L)  # the demo's own check of L
+    except ValueError as exc:
+        raise SystemExit(f"--L: {exc}") from exc
     if not 0 < args.nu < math.inf:
         raise SystemExit(f"--nu must be a finite positive number, got {args.nu}")
     rep = wilson.wilson_continuous_demo(args.nu, args.L)

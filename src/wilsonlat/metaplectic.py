@@ -71,35 +71,58 @@ class ParameterSearchError(ValueError):
 
 @dataclass(frozen=True)
 class SigmaParams:
-    """Symplectic reindexing bundle for a finite lattice (L, p, b).
-
-    alpha..delta are the exact integers of the symplectic matrix (alpha
-    delta - beta gamma = 1 over Z, not just mod L); m0, n0 the Bezout pair
-    with alpha*(L/2p)*m0 + (alpha b + beta p)*n0 = gcd_c; lcm_d is the signed
-    product alpha*(L/2p)*(alpha b + beta p)/gcd_c.  ``sign_adjusted`` records
-    whether the preferred sign conditions had to be dropped (gamma, delta
-    absorb the change of signs).  lcm_d and sign_adjusted are fields, not
-    properties: the identity bundle of b = 0 breaks their formulas.
+    """Symplectic reindexing sigma = [[alpha, beta], [gamma, delta]] of a finite
+    lattice (L, p, b): integers with |alpha| = 1 and alpha delta - beta gamma = 1
+    over Z, not just mod L.  The rest follows from sigma and the lattice: with
+    u = L/(2p) and v = alpha b + beta p, sigma maps the lattice onto (L, q, 0)
+    with top row c = ``gcd_c`` = gcd(u, |v|) exactly when sigma^{-1}(c, 0) =
+    (delta c, -gamma c) = (x0, y0) is a lattice point (u m0 + b n0, p n0), m0
+    and n0 integers (else LatticeError), and then alpha u m0 + v n0 = c.
+    ``lcm_d`` = alpha u v/c, and ``sign_adjusted`` tells whether the preferred
+    signs (x0 y0 < 0, alpha v > 0) fail; at b = 0 the identity conventions
+    lcm_d = c and sign_adjusted = False hold instead.
     """
 
     alpha: int
     beta: int
     gamma: int
     delta: int
-    m0: int
-    n0: int
-    gcd_c: int
-    lcm_d: int
     L: int
     p: int
     b: int
-    sign_adjusted: bool = False
 
     def __post_init__(self):
-        if abs(self.alpha) != 1:
-            raise LatticeError("|alpha| must be 1")
-        if self.alpha * self.delta - self.beta * self.gamma != 1:
-            raise LatticeError("sigma is not symplectic")
+        if abs(self.alpha) != 1 or self.alpha * self.delta - self.beta * self.gamma != 1:
+            raise LatticeError("sigma is not symplectic with |alpha| = 1")
+        if self.gamma * self.gcd_c % self.p or \
+                (self.delta * self.gcd_c - self.b * self.n0) % (self.L // (2 * self.p)):
+            raise LatticeError(f"sigma maps ({self.L}, {self.p}, {self.b}) onto no rectangle")
+
+    @property
+    def _v(self) -> int:
+        return self.alpha * self.b + self.beta * self.p
+
+    @property
+    def gcd_c(self) -> int:
+        return gcd(self.L // (2 * self.p), self._v)
+
+    @property
+    def n0(self) -> int:
+        return -self.gamma * self.gcd_c // self.p
+
+    @property
+    def m0(self) -> int:
+        return (self.delta * self.gcd_c - self.b * self.n0) // (self.L // (2 * self.p))
+
+    @property
+    def lcm_d(self) -> int:
+        u = self.L // (2 * self.p)
+        return self.alpha * u * self._v // self.gcd_c if self.b else self.gcd_c
+
+    @property
+    def sign_adjusted(self) -> bool:
+        opposite = (self.delta < 0) != (self.gamma > 0)  # the signs of x0 and y0 differ
+        return self.b != 0 and not (opposite and self.alpha * self._v > 0)
 
     @property
     def q(self) -> int:
@@ -185,14 +208,6 @@ def meta_finite(f, sp: SigmaParams, inverse: bool = False) -> np.ndarray:
     return (c.conjugate() if inverse else c) * _shears(f, sp, inverse)
 
 
-def _identity_params(lat: CanonicalFinite) -> SigmaParams:
-    # b = 0: the lattice is already rectangular; sigma = id, U = id, and the
-    # Bezout data degenerates (n0 = 0 makes the generic formulas undefined).
-    c = lat.time_step
-    return SigmaParams(alpha=1, beta=0, gamma=0, delta=1, m0=1, n0=0,
-                       gcd_c=c, lcm_d=c, L=lat.L, p=lat.p, b=0, sign_adjusted=False)
-
-
 def _beta_groups(r: int, m: int, top: int):
     """The betas = r (mod m) with |beta| <= top, grouped by increasing |beta|."""
     bases = sorted({r, -r % m})
@@ -226,11 +241,8 @@ def _row(lat: CanonicalFinite, box: int, c: int, m: int, beta: int) -> list[tupl
 
 def _pick(lat: CanonicalFinite, c: int, cols: list[tuple]) -> SigmaParams:
     """The preferred column: small |m0|, |n0|, then (beta, m0, n0)."""
-    _, _, beta, m0, n0, x0, y0, sign_ok = min(cols)
-    return SigmaParams(alpha=1, beta=beta, gamma=-y0 // c, delta=x0 // c,
-                       m0=m0, n0=n0, gcd_c=c,
-                       lcm_d=lat.time_step * (lat.b + beta * lat.p) // c,
-                       L=lat.L, p=lat.p, b=lat.b, sign_adjusted=not sign_ok)
+    _, _, beta, _, _, x0, y0, _ = min(cols)
+    return SigmaParams(1, beta, -y0 // c, x0 // c, lat.L, lat.p, lat.b)
 
 
 def _search(lat: CanonicalFinite, box: int) -> SigmaParams:
@@ -265,12 +277,11 @@ def _search(lat: CanonicalFinite, box: int) -> SigmaParams:
 def sigma_params(lat: CanonicalFinite, box: int | None = None) -> SigmaParams:
     """Search the symplectic parameter bundle for a canonical lattice.
 
-    For b = 0 returns the documented identity bundle.  Otherwise returns
-    the preferred admissible candidate with beta, m0, n0 in the box
-    (default [-2L, 2L]) and |alpha| = 1.
+    For b = 0 the lattice is rectangular and sigma = id; otherwise the preferred
+    admissible candidate with beta, m0, n0 in the box (default [-2L, 2L]).
     """
     if lat.b == 0:
-        return _identity_params(lat)
+        return SigmaParams(1, 0, 0, 1, lat.L, lat.p, 0)
     return _search(lat, 2 * lat.L if box is None else box)
 
 

@@ -79,10 +79,10 @@ def centered_dft(f: np.ndarray, inverse: bool = False) -> np.ndarray:
     return np.fft.fft(alt * f) * (alt * (quarter.conjugate() / np.sqrt(L)))
 
 
-def real_spectrum(g, tol: float = REAL_SPECTRUM_TOL) -> np.ndarray:
-    """dft(g), rejected unless its imaginary part is below tol of its peak."""
+def real_spectrum(g) -> np.ndarray:
+    """dft(g), rejected unless its imaginary part is below REAL_SPECTRUM_TOL of its peak."""
     ghat = dft(g)
-    if np.max(np.abs(ghat.imag)) > tol * max(1.0, float(np.max(np.abs(ghat)))):
+    if np.max(np.abs(ghat.imag)) > REAL_SPECTRUM_TOL * max(1.0, float(np.max(np.abs(ghat)))):
         raise ValueError("window spectrum must be real-valued")
     return ghat
 

@@ -50,9 +50,11 @@ and 0 <= n <= c, is chi times the rectangular element (m, n) of
 h = conj(chi) g by ``wilson_pair`` with top row c, so the family is an
 orthonormal basis of l^2(Z) exactly when the rectangular one of h is; the
 spectrum hypothesis applies to h.  For b = 0, c = N/2 and chi = 1.
-``wilson_finite`` of a periodization chirps with sigma's n0 instead; where
-the two n0 differ mod N, as at (N, b) = (8, 1) and (12, 3), the family and
-the finite system are different bases.
+The bridge to C^L: for c | K the beta = 0 bundle SigmaParams(1, 0, -K n0/c,
+1, N K, K, b) of (N K, K, b) chirps with the same n0, so each element of
+the family, periodized to L = N K, is a row of the ``wilson_finite`` basis
+of g.periodize(L) with that bundle up to a unimodular phase.  The searched
+sigma may chirp with another n0 mod N, as at (N, b) = (8, 1) and (12, 3).
 
 The Gram matrix of a Wilson system equals the identity exactly when the
 underlying window generates a tight frame with bound 2 and the spectrum
@@ -271,31 +273,23 @@ class EquivalenceReport:
     rectangular_onb  : the rectangular Wilson system is an orthonormal basis
     sheared_onb      : the Wilson system over (L, p, b) is an orthonormal basis
 
-    Each verdict is its deviation <= tol.  The two tightness deviations are
-    ||S - 2I||_2 = max|d - 2| over the frame symbol d, i.e. the distance of
-    the frame bounds (A, B) from 2; this is never below the entrywise
-    max|S - 2I|.  The two basis deviations are ||G - I||_2 of the Wilson
-    Gram, read from the Riesz bounds (:func:`gram_deviation`); this is never
-    below the entrywise max|G - I|.
+    Each verdict is its deviation <= tol, in the order of ``deviations``.
+    The two tightness deviations are ||S - 2I||_2 = max|d - 2| over the
+    frame symbol d, i.e. the distance of the frame bounds (A, B) from 2; this
+    is never below the entrywise max|S - 2I|.  The two basis deviations are
+    ||G - I||_2 of the Wilson Gram, read from the Riesz bounds
+    (:func:`gram_deviation`); this is never below the entrywise max|G - I|.
     """
 
-    sheared_tight: bool
-    rectangular_tight: bool
-    rectangular_onb: bool
-    sheared_onb: bool
     deviations: dict
     params: SigmaParams
     tol: float
 
     def verdicts(self) -> tuple[bool, bool, bool, bool]:
-        return (self.sheared_tight, self.rectangular_tight,
-                self.rectangular_onb, self.sheared_onb)
+        return tuple(dev <= self.tol for dev in self.deviations.values())
 
     def to_json(self) -> dict:
-        return {"verdicts": {"sheared_tight": self.sheared_tight,
-                             "rectangular_tight": self.rectangular_tight,
-                             "rectangular_onb": self.rectangular_onb,
-                             "sheared_onb": self.sheared_onb},
+        return {"verdicts": dict(zip(self.deviations, self.verdicts())),
                 "deviations": {k: float(v) for k, v in self.deviations.items()},
                 "q": self.params.q, "tol": self.tol}
 
@@ -321,7 +315,7 @@ def equivalence_report(g, lat: CanonicalFinite, tol: float = DEFAULT_TOL,
             "rectangular_tight": rect.symbol.deviation,
             "rectangular_onb": gram_deviation(rect),
             "sheared_onb": gram_deviation(sheared)}
-    return EquivalenceReport(*(dev <= tol for dev in devs.values()), devs, sp, tol)
+    return EquivalenceReport(devs, sp, tol)
 
 
 # -- continuous demonstration -------------------------------------------------
@@ -340,17 +334,13 @@ class ContinuousDemoReport:
     L: int
     nu: float
     window: np.ndarray = field(repr=False)
-    hex_gram_deviation: float = 0.0
-    rect_gram_deviation: float = 0.0
-    time_spread: float = 0.0
-    freq_spread: float = 0.0
+    hex_gram_deviation: float
+    rect_gram_deviation: float
+    time_spread: float
+    freq_spread: float
 
     def to_json(self) -> dict:
-        return {"L": self.L, "nu": self.nu,
-                "hex_gram_deviation": self.hex_gram_deviation,
-                "rect_gram_deviation": self.rect_gram_deviation,
-                "time_spread": self.time_spread,
-                "freq_spread": self.freq_spread}
+        return {k: v for k, v in vars(self).items() if k != "window"}
 
 
 def _grid(L: int) -> tuple[int, np.ndarray]:

@@ -4,9 +4,9 @@ setting and the continuous factorization data that only the tests use.
 ``dense_metaplectic`` is the kernel sum U f(k) = sum_l f(alpha k + beta l)
 psi(k, l) normalized to a unitary, the definition that the factored
 ``wilsonlat.metaplectic`` operator is checked against; ``candidates`` lists
-every candidate of the box in preference order, and ``box_search`` walks
-the whole (4L+1)-wide beta box by level c and |beta|, the search that
-``sigma_params`` must reproduce from residue classes;
+every candidate of the box in preference order, one level c at a time, and
+``box_search`` walks the whole (4L+1)-wide beta box by level c and |beta|,
+the search that ``sigma_params`` must reproduce from residue classes;
 ``phi_params_finite`` and ``phi_params_discrete`` are the unimodular index
 maps phi of the finite Wilson gather and of the sequence lattice;
 ``correlation_sums_discrete`` is the sequence correlation fold without
@@ -114,38 +114,39 @@ def _raw_metaplectic(sp: SigmaParams) -> np.ndarray:
 
 
 def candidates(lat: CanonicalFinite, box: int):
-    """Every candidate tuple in the box, sorted by preference and yielded
-    lazily; admissibility is left to the caller.
+    """Every candidate in the box, sorted by preference and yielded lazily;
+    admissibility is left to the caller.
 
-    Preference order: image lattice aligned with (L, p, 0) first, then
-    larger gcd_c, satisfied sign conditions, small |beta|, |m0|, |n0|,
-    alpha = +1, and finally plain lexicographic order for determinism.
+    Preference order: larger gcd_c first (the image lattice aligned with
+    (L, p, 0) has the largest), then satisfied sign conditions, small
+    |beta|, |m0|, |n0|, alpha = +1, and finally plain lexicographic order
+    for determinism.  One level c is built and sorted at a time: the rows
+    (alpha, beta) of the box with gcd(u, |v|) = c against every n0 of the
+    box, filtered literally (no Bezout progression).
     """
     L, p, b = lat.L, lat.p, lat.b
     u = lat.time_step
-    # every (alpha, beta, n0) of the box, filtered literally (no Bezout
-    # progression): rows are (alpha, beta), columns n0
     box_range = np.arange(-box, box + 1)
-    alpha, beta, n0 = np.broadcast_arrays(np.repeat([1, -1], len(box_range))[:, None],
-                                          np.tile(box_range, 2)[:, None], box_range)
-    v = alpha * b + beta * p
-    c = np.gcd(u, v)
-    num = c - v * n0
-    ok = (v != 0) & (n0 != 0) & (num % (alpha * u) == 0)
-    m0 = num // (alpha * u)
-    x0 = u * m0 + b * n0
-    y0 = p * n0
-    ok &= (np.abs(m0) <= box) & (x0 != 0)
-    ok[ok] = np.gcd(x0[ok], y0[ok]) == c[ok]
-    alpha, beta, v, c, m0, n0, x0, y0 = (w[ok] for w in (alpha, beta, v, c, m0, n0, x0, y0))
-    sign_ok = (x0 * y0 < 0) & (alpha * u * v > 0)
-    order = np.lexsort((n0, m0, beta, alpha != 1, np.abs(n0), np.abs(m0), np.abs(beta),
-                        ~sign_ok, -c, c != u))
-    cols = (w[order].tolist() for w in (alpha, beta, v, c, m0, n0, x0, y0, sign_ok))
-    return (SigmaParams(alpha=alpha, beta=beta, gamma=-y0 // c, delta=x0 // c,
-                        m0=m0, n0=n0, gcd_c=c, lcm_d=alpha * u * v // c,
-                        L=L, p=p, b=b, sign_adjusted=not sign_ok)
-            for alpha, beta, v, c, m0, n0, x0, y0, sign_ok in zip(*cols))
+    row_alpha, row_beta = np.repeat([1, -1], len(box_range)), np.tile(box_range, 2)
+    row_v = row_alpha * b + row_beta * p
+    row_c = np.gcd(u, row_v) * (row_v != 0)  # 0: v = 0, a row without candidates
+    for c in sorted(set(row_c.tolist()) - {0}, reverse=True):
+        alpha, beta, n0 = np.broadcast_arrays(row_alpha[row_c == c, None],
+                                              row_beta[row_c == c, None], box_range)
+        v = alpha * b + beta * p
+        num = c - v * n0
+        ok = (n0 != 0) & (num % (alpha * u) == 0)
+        m0 = num // (alpha * u)
+        x0 = u * m0 + b * n0
+        y0 = p * n0
+        ok &= (np.abs(m0) <= box) & (x0 != 0)
+        ok[ok] = np.gcd(x0[ok], y0[ok]) == c
+        alpha, beta, v, m0, n0, x0, y0 = (w[ok] for w in (alpha, beta, v, m0, n0, x0, y0))
+        sign_ok = (x0 * y0 < 0) & (alpha * u * v > 0)
+        order = np.lexsort((n0, m0, beta, alpha != 1, np.abs(n0), np.abs(m0), np.abs(beta),
+                            ~sign_ok))
+        for alpha_, beta_, x0_, y0_ in zip(*(w[order].tolist() for w in (alpha, beta, x0, y0))):
+            yield SigmaParams(alpha_, beta_, -y0_ // c, x0_ // c, L, p, b)
 
 
 def _box_row_candidates(lat: CanonicalFinite, box: int, alpha: int, beta: int) -> np.ndarray:
@@ -172,11 +173,8 @@ def _box_pick(lat: CanonicalFinite, c: int, cands: np.ndarray) -> SigmaParams:
     """The preferred column: small |m0|, |n0|, alpha = +1, then (beta, m0, n0)."""
     i = np.lexsort((cands[3], cands[2], cands[1], cands[0] != 1,
                     np.abs(cands[3]), np.abs(cands[2])))[0]
-    alpha, beta, m0, n0, x0, y0, sign_ok = (int(x) for x in cands[:, i])
-    return SigmaParams(alpha=alpha, beta=beta, gamma=-y0 // c, delta=x0 // c,
-                       m0=m0, n0=n0, gcd_c=c,
-                       lcm_d=alpha * lat.time_step * (alpha * lat.b + beta * lat.p) // c,
-                       L=lat.L, p=lat.p, b=lat.b, sign_adjusted=not sign_ok)
+    alpha, beta, _, _, x0, y0, _ = (int(x) for x in cands[:, i])
+    return SigmaParams(alpha, beta, -y0 // c, x0 // c, lat.L, lat.p, lat.b)
 
 
 def box_search(lat: CanonicalFinite, box: int) -> SigmaParams:

@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -84,8 +85,46 @@ class TestSigmaParams:
 
     def test_invalid_bundle_rejected(self):
         with pytest.raises(LatticeError):
-            SigmaParams(alpha=2, beta=0, gamma=0, delta=1, m0=1, n0=0,
-                        gcd_c=1, lcm_d=1, L=8, p=1, b=0)
+            SigmaParams(alpha=2, beta=0, gamma=0, delta=1, L=8, p=1, b=0)
+
+    def test_sigma_onto_no_rectangle_rejected(self):
+        # sigma = id keeps (8, 1, 3) sheared: n0 = 0 and m0 = 1/4
+        with pytest.raises(LatticeError, match="no rectangle"):
+            SigmaParams(1, 0, 0, 1, 8, 1, 3)
+
+    def test_derived_bezout_relations_on_candidates(self):
+        # the first 40 candidates of every sheared L <= 48, alpha = -1 included
+        signs = set()
+        for lat in sheared_lattices(48):
+            for sp in islice(candidates(lat, 2 * lat.L), 40):
+                assert_bezout(sp)
+                signs.add(sp.alpha)
+        assert signs == {1, -1}
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_derived_bezout_relations_generated(self, data):
+        half = data.draw(st.integers(1, 2048), label="L/2")
+        p = data.draw(st.sampled_from([d for d in range(1, half + 1) if half % d == 0]), label="p")
+        lat = CanonicalFinite(2 * half, p, data.draw(st.integers(0, half // p - 1), label="b"))
+        sp = searched(sigma_params, lat, data.draw(st.integers(-1, 2 * lat.L), label="box"))
+        if sp is not None:
+            assert_bezout(sp)
+            assert SigmaParams(sp.alpha, sp.beta, sp.gamma, sp.delta, sp.L, sp.p, sp.b) == sp
+
+    @pytest.mark.parametrize("L, p", [(8, 1), (16, 2), (1024, 4)])
+    def test_identity_conventions_at_b_zero(self, L, p):
+        js = sigma_params(CanonicalFinite(L, p, 0)).to_json()
+        assert js["d"] == js["c"] == L // (2 * p) and js["sign_adjusted"] is False
+        assert (js["m0"], js["n0"]) == (1, 0)
+
+
+def assert_bezout(sp):
+    """alpha u m0 + v n0 = c and gcd(x0, y0) = c for the derived values."""
+    u = sp.L // (2 * sp.p)
+    v = sp.alpha * sp.b + sp.beta * sp.p
+    x0, y0 = u * sp.m0 + sp.b * sp.n0, sp.p * sp.n0
+    assert sp.alpha * u * sp.m0 + v * sp.n0 == sp.gcd_c == gcd(x0, y0), sp
 
 
 class TestMetaFinite:
@@ -95,8 +134,8 @@ class TestMetaFinite:
         assert np.max(np.abs(meta_finite(f, sp) - f)) < 1e-12
 
     def test_pure_chirp(self):
-        sp = SigmaParams(alpha=1, beta=0, gamma=3, delta=1, m0=1, n0=-3,
-                         gcd_c=1, lcm_d=1, L=8, p=1, b=1)
+        sp = SigmaParams(alpha=1, beta=0, gamma=3, delta=1, L=8, p=1, b=1)
+        assert (sp.m0, sp.n0, sp.gcd_c) == (1, -3, 1)
         U = metaplectic_matrix(sp)
         k = np.arange(8)
         chirp = np.exp(-1j * np.pi * (3 * k * k * 9 % 16) / 8)

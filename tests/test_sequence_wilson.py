@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import gram_discrete, norm2
+from wilsonlat.metaplectic import SigmaParams
 from wilsonlat.ring import CanonicalFinite, ext_gcd
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import DiscreteWindow
@@ -104,12 +105,12 @@ def test_rectangular_family_unchanged():
 
 
 def test_periodized_elements_are_finite_basis_rows():
-    # The finite system transports through sigma's Bezout pair.  On these
+    # The searched sigma transports through its own Bezout pair.  On these
     # lattices its n0 agrees with ext_gcd's mod N, so both constructions use
-    # the same chirp and every periodized element is a row of the finite
-    # basis up to a unimodular phase.  Lattices such as (8, 1) and (12, 3),
-    # where the two n0 differ mod N, pick different chirps and match only in
-    # part, so they are left out.
+    # the same chirp and every periodized element is a row of the default
+    # finite basis up to a unimodular phase.  Lattices such as (8, 1) and
+    # (12, 3), where the two n0 differ mod N, need the beta = 0 bundle of
+    # the next test.
     rng = SplitMix64(73)
     for N, b in ((8, 3), (12, 4), (16, 6), (24, 9)):
         g = DiscreteWindow(-3, rng.complex_vector(6))
@@ -124,6 +125,31 @@ def test_periodized_elements_are_finite_basis_rows():
                 row = int(np.argmax(np.abs(ip)))
                 phase = ip[row] / abs(ip[row])
                 assert np.max(np.abs(v - phase * basis[row])) <= 1e-12, (N, b, K, m, n)
+
+
+def test_periodized_family_is_the_beta_zero_finite_basis():
+    # The beta = 0 bundle chirps with ext_gcd's n0 on every lattice, so each
+    # periodized element is a row of its finite basis up to a unimodular
+    # phase: one product of all elements against all rows per case.
+    rng = SplitMix64(74)
+    cases = 0
+    for N, b in sheared_lattices(24):
+        g = DiscreteWindow(-3, rng.complex_vector(7))
+        fam = WilsonSequenceFamily(g, N, b)
+        c, _, n0 = ext_gcd(N // 2, b)
+        for K in (N // 2, N):
+            L = N * K
+            sp = SigmaParams(1, 0, -K * n0 // c, 1, L, K, b)
+            assert (sp.gcd_c, sp.n0) == (c, n0)
+            basis = wilson_finite(g.periodize(L), CanonicalFinite(L, K, b), sp).basis
+            V = np.array([e.periodize(L) for _, e in fam.elements(range(L // c))])
+            ip = (basis / np.linalg.norm(basis, axis=1, keepdims=True)).conj() @ V.T
+            rows = np.argmax(np.abs(ip), axis=0)
+            phase = ip[rows, np.arange(len(V))]
+            phase /= np.abs(phase)
+            assert np.max(np.abs(V - phase[:, None] * basis[rows])) <= 1e-12, (N, b, K)
+            cases += 1
+    assert cases == 132
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
