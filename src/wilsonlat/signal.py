@@ -80,8 +80,12 @@ def centered_dft(f: np.ndarray, inverse: bool = False) -> np.ndarray:
 
 
 def real_spectrum(g) -> np.ndarray:
-    """dft(g), rejected unless its imaginary part is below REAL_SPECTRUM_TOL of its peak."""
-    ghat = dft(g)
+    """dft(g), rejected unless real-valued (``require_real``)."""
+    return require_real(dft(g))
+
+
+def require_real(ghat: np.ndarray) -> np.ndarray:
+    """ghat, rejected unless its imaginary part is below REAL_SPECTRUM_TOL of its peak."""
     if np.max(np.abs(ghat.imag)) > REAL_SPECTRUM_TOL * max(1.0, float(np.max(np.abs(ghat)))):
         raise ValueError("window spectrum must be real-valued")
     return ghat

@@ -37,6 +37,11 @@ A lambda) = eps Phi(kappa, lambda) at (a, 0) and (2b, 2p), and phi =
 eps Phi(kappa, .) conj Phi(P kappa, A .) at (b, p).  The spectrum of G is
 that of the blocks [[d(kappa), t], [conj t, d(P kappa)]] / 2, or (d + t)/2
 where P kappa = kappa: ``riesz_bounds`` in O(L log L) time and O(L) memory.
+P, phi and the masks kappa < P kappa, kappa > P kappa depend only on the
+lattice and sigma: ``_pairing`` builds them once per pair in an lru_cache
+of PAIRING_CACHE = 8 entries, read-only, 26 L bytes each (26 MiB at
+L = MAX_L = 2^20, so at most 208 MiB in all), and only the combine with the
+window's symbol runs per call.
 ``gram_deviation`` = max(B_W - 1, 1 - A_W) = ||G - I||_2 is never below the
 entrywise max|G - I| of the dense Gram (``tests/oracles.py::gram``).  For a
 transported real-spectrum window (A_W, B_W) is half the frame bounds.
@@ -65,8 +70,8 @@ formulations side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from math import isqrt
+from functools import cached_property, lru_cache
+from math import inf, isqrt
 
 import numpy as np
 
@@ -75,7 +80,9 @@ from .metaplectic import SigmaParams, apply_continuous_U, meta_finite, sigma_par
 from .ring import MAX_L, CanonicalFinite, LatticeError, ext_gcd
 from .signal import (DEFAULT_TOL, DiscreteWindow, as_window, centered_dft,
                      real_spectrum, tf_shift)
-from .zak import FrameSymbol, frame_symbol
+from .zak import FrameSymbol, frame_symbol, symbol_layout
+
+PAIRING_CACHE = 8  # (lattice, sigma) pairs whose Riesz pairing is kept (module docstring)
 
 
 def _index_arrays(L: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,11 +176,13 @@ def wilson_finite(g, lat: CanonicalFinite, sp: SigmaParams | None = None) -> Wil
     return WilsonSystem(as_window(g, lat.L), lat, sp or sigma_params(lat))
 
 
-def riesz_spectrum(sys: WilsonSystem) -> np.ndarray:
-    """The L eigenvalues of the Wilson Gram from the 2x2 blocks (module
-    docstring), kappa = (k, r) at flat index 2p k + r."""
-    L, p, b, a = sys.lattice.L, sys.lattice.p, sys.lattice.b, sys.lattice.time_step
-    sp, k, r = sys.params, np.arange(a)[:, None], np.arange(2 * p)
+@lru_cache(maxsize=PAIRING_CACHE)
+def _pairing(lat: CanonicalFinite, sp: SigmaParams) -> tuple:
+    """P, phi and the masks i < P, i > P of the Riesz blocks (module
+    docstring), kappa = (k, r) at flat index 2p k + r; built once per lattice
+    and bundle, read-only."""
+    L, p, b, a = lat.L, lat.p, lat.b, lat.time_step
+    k, r = np.arange(a)[:, None], np.arange(2 * p)
 
     def phase(x, y, k, r):  # L arg Phi mod L; b s^2, s k reduced mod a keep int64 exact
         s, e = divmod(y // p, 2)
@@ -189,13 +198,27 @@ def riesz_spectrum(sys: WilsonSystem) -> np.ndarray:
     Pr = flipped(a, 0, k, r) % L // a
     Pk = (2 * p * b - 2 * b * Pr + flipped(2 * b, 2 * p, k, r)) % L // (2 * p)
     phi = np.exp(2j * np.pi * ((phase(b, p, k, r) + flipped(b, p, Pk, Pr)) % L) / L).ravel()
-    sym = sys.symbol
-    P, d = (2 * p * Pk + Pr).ravel(), sym.values.ravel()
-    Z0, Z1 = sym.window_zak.ravel(), np.roll(sym.shifted_zak, -b, axis=0).ravel()
-    t = (2 * p / L**2) * (Z0 * Z0[P].conj() + phi * Z1 * Z1[P].conj())
-    root = np.sqrt(((d - d[P]) / 2) ** 2 + np.abs(t) ** 2)
+    P = (2 * p * Pk + Pr).ravel()
     i = np.arange(L)
-    return ((d + d[P]) / 2 + np.where(i < P, root, np.where(i > P, -root, t.real))) / 2
+    tables = (P, phi, i < P, i > P)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def riesz_spectrum(sys: WilsonSystem) -> np.ndarray:
+    """The L eigenvalues of the Wilson Gram from the 2x2 blocks (module
+    docstring), kappa = (k, r) at flat index 2p k + r."""
+    lat = sys.lattice
+    L, p = lat.L, lat.p
+    P, phi, below, above = _pairing(lat, sys.params)
+    sym = sys.symbol
+    d, W1 = sym.values.ravel(), sym.shifted_zak
+    Z0, Z1 = sym.window_zak.ravel(), (W1[symbol_layout(lat).rows] if lat.b else W1).ravel()
+    t = (2 * p / L**2) * (Z0 * Z0[P].conj() + phi * Z1 * Z1[P].conj())
+    dP = d[P]
+    root = np.sqrt(((d - dP) / 2) ** 2 + np.abs(t) ** 2)
+    return ((d + dP) / 2 + np.where(below, root, np.where(above, -root, t.real))) / 2
 
 
 def riesz_bounds(sys: WilsonSystem) -> tuple[float, float]:
@@ -353,6 +376,47 @@ def _grid(L: int) -> tuple[int, np.ndarray]:
     return root, (np.arange(L) - L / 2) / root
 
 
+def _wilson_elements(G: np.ndarray, t: np.ndarray, a: float, b: float, d: float) -> np.ndarray:
+    """The sampled Wilson elements (n, m), |m| <= M_MAX, 0 <= n <= N_MAX, as
+    rows, from the centered spectrum G of the window on the grid t.
+
+    Atom (m, n) is G times the shift ramp A^m B^n, where A and B are the
+    ramps e^{-2 pi i j s sqrt(L)/L} of s = a and s = b, their powers are
+    products and A^-k = conj A^k, then modulated by e^{2 pi i n d t}.  The
+    ramp tables die with this call, before the Gram product.
+    """
+    L = len(G)
+    j = np.arange(L) - L / 2
+
+    def powers(s: float, top: int) -> list:  # [1, r, r^2, ..., r^top], r^0 never read
+        r = np.exp(-2j * np.pi * j * (s * np.sqrt(L)) / L)
+        out = [None, r]
+        while len(out) <= top:
+            out.append(out[-1] * r)
+        return out
+
+    ramp_a, ramp_b = powers(a, 2 * M_MAX), powers(b, N_MAX) if b else None
+
+    def atom(m: int, n: int, modulation: np.ndarray) -> np.ndarray:
+        spec = G
+        for table, k in ((ramp_a, m), (ramp_b, n)):
+            if k and table is not None:
+                spec = spec * (table[k] if k > 0 else table[-k].conj())
+        return centered_dft(spec, inverse=True) * modulation
+
+    width = 2 * M_MAX + 1
+    B = np.empty(((N_MAX + 1) * width, L), dtype=complex)
+    for n in range(N_MAX + 1):  # each modulation e^{2 pi i n d t} once, at most two held
+        modulation = {s: np.exp(2j * np.pi * s * d * t) for s in {n, -n}}
+        for m in range(-M_MAX, M_MAX + 1):
+            m1, c1, c2 = wilson_pair(m, n, None)
+            row = c1 * atom(m1, n, modulation[n])
+            if c2:  # 0 on the boundary row n = 0
+                row += c2 * atom(m, -n, modulation[-n])
+            B[n * width + m + M_MAX] = np.exp(-1j * np.pi * b * d * n * n) * row
+    return B
+
+
 def continuous_wilson_gram(g: np.ndarray, a: float, b: float, d: float) -> float:
     """Max deviation from identity of the sampled continuous Wilson Gram.
 
@@ -362,22 +426,8 @@ def continuous_wilson_gram(g: np.ndarray, a: float, b: float, d: float) -> float
     atom a phase ramp on one spectrum: O(L log L) time, O(L) memory.
     """
     L = len(g)
-    root, t = _grid(L)
-    G = centered_dft(g)
-    j = np.arange(L) - L / 2
-
-    def atom(m: int, n: int, ramp: np.ndarray) -> np.ndarray:
-        shift = np.exp(-2j * np.pi * j * ((m * a + n * b) * root) / L)
-        return centered_dft(G * shift, inverse=True) * ramp
-
-    width = 2 * M_MAX + 1
-    B = np.empty(((N_MAX + 1) * width, L), dtype=complex)
-    for n in range(N_MAX + 1):  # each modulation e^{2 pi i n d t} once, at most two held
-        ramp = {s: np.exp(2j * np.pi * s * d * t) for s in {n, -n}}
-        for m in range(-M_MAX, M_MAX + 1):
-            m1, c1, c2 = wilson_pair(m, n, None)
-            B[n * width + m + M_MAX] = np.exp(-1j * np.pi * b * d * n * n) * (
-                c1 * atom(m1, n, ramp[n]) + c2 * atom(m, -n, ramp[-n]))
+    _, t = _grid(L)
+    B = _wilson_elements(centered_dft(g), t, a, b, d)
     gram = B @ B.conj().T / L
     return float(np.max(np.abs(gram - np.eye(len(B)))))
 
@@ -392,8 +442,8 @@ def wilson_continuous_demo(nu: float, L: int) -> ContinuousDemoReport:
     Wilson Gram deviations for both lattices plus the time-frequency
     spreads of the hexagonal window.
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not 0 < nu < inf:  # also rejects NaN
+        raise ValueError(f"nu must be a finite positive number, got {nu}")
     root, t = _grid(L)
     h = (2 * nu) ** 0.25 * np.exp(-nu * np.pi * t * t) + 0j
     rect = CanonicalFinite(L, root, 0)

@@ -28,16 +28,28 @@ trigonometric polynomials, and sampling ghat at t + k/N is the DFT of the
 N T-periodization, so they are exactly L^2 ifft_j(d / (2T))[j, i], i < T,
 for the symbol d of that periodization over (N T, T, 0) (Sondergaard,
 "Gabor frames by sampling and periodization").
+
+Per-lattice tables.  The chirp c, its conjugate and the row map
+(j + b) mod q depend only on the lattice: ``symbol_layout`` builds them
+once per lattice in an lru_cache of LAYOUT_CACHE = 8 entries, read-only,
+40 q bytes each (20 MiB at L = MAX_L = 2^20 and p = 1, so at most 160 MiB
+in all).  V_0 and V_1 are slice copies of G, reshaped, and b = 0 skips
+the multiplications by c = 1.  Each Zak criterion takes one FFT of g, which
+serves both its real-spectrum check and the symbol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .ring import CanonicalFinite
-from .signal import DEFAULT_TOL, DiscreteWindow, as_window, real_spectrum
+from .signal import DEFAULT_TOL, DiscreteWindow, as_window, require_real
+
+LAYOUT_CACHE = 8  # lattices whose symbol layout is kept (module docstring)
 
 
 @dataclass(frozen=True)
@@ -47,7 +59,7 @@ class FrameSymbol:
     values: np.ndarray = field(repr=False)
     window_zak: np.ndarray = field(repr=False)
     shifted_zak: np.ndarray = field(repr=False)
-    chirp: np.ndarray = field(repr=False)
+    chirp: np.ndarray = field(repr=False)  # symbol_layout(lattice).chirp, read-only
 
     @property
     def deviation(self) -> float:
@@ -55,23 +67,51 @@ class FrameSymbol:
         return float(np.max(np.abs(self.values - 2.0)))
 
 
-def frame_symbol(g, lat: CanonicalFinite) -> FrameSymbol:
-    """The L eigenvalues of the frame operator of g over lat (module docstring)."""
-    L, p, b = lat.L, lat.p, lat.b
-    G = np.fft.fft(as_window(g, L))
-    q = L // (2 * p)
+class SymbolLayout(NamedTuple):
+    """The window-independent tables of the frame symbol over one lattice."""
+
+    chirp: np.ndarray       # c(j), shape (q, 1)
+    chirp_conj: np.ndarray  # conj c(j)
+    rows: np.ndarray        # (j + b) mod q: row j of roll_j(W_1, -b)
+
+
+@lru_cache(maxsize=LAYOUT_CACHE)
+def symbol_layout(lat: CanonicalFinite) -> SymbolLayout:
+    """The chirp and row map of lat, built once per lattice (read-only)."""
+    q, b = lat.time_step, lat.b
     j = np.arange(q)[:, None]
     chirp = np.exp(-2j * np.pi * (b * j * j % q) / q)
-    V = G[np.arange(L) - np.array([[0], [p]])]  # G and roll(G, p)
-    W0, W1 = np.fft.fft(V.reshape(2, q, 2 * p) * chirp.conj(), axis=1)
-    d = (2 * p / L**2) * (np.abs(W0) ** 2 + np.abs(W1[(j[:, 0] + b) % q]) ** 2)
-    return FrameSymbol(d, W0, W1, chirp)
+    layout = SymbolLayout(chirp, chirp.conj(), (j[:, 0] + b) % q)
+    for table in layout:
+        table.setflags(write=False)
+    return layout
+
+
+def _spectrum_symbol(G: np.ndarray, lat: CanonicalFinite) -> FrameSymbol:
+    """The frame symbol from G = fft(g), a complex vector of length L."""
+    L, p, b = lat.L, lat.p, lat.b
+    lay = symbol_layout(lat)
+    V = np.empty((2, L), dtype=complex)  # G and roll(G, p)
+    V[0], V[1, :p], V[1, p:] = G, G[L - p:], G[:L - p]
+    V = V.reshape(2, L // (2 * p), 2 * p)
+    if b:
+        V *= lay.chirp_conj
+    W0, W1 = np.fft.fft(V, axis=1)
+    d = (2 * p / L**2) * (np.abs(W0) ** 2 + np.abs(W1[lay.rows] if b else W1) ** 2)
+    return FrameSymbol(d, W0, W1, lay.chirp)
+
+
+def frame_symbol(g, lat: CanonicalFinite) -> FrameSymbol:
+    """The L eigenvalues of the frame operator of g over lat (module docstring)."""
+    return _spectrum_symbol(np.fft.fft(as_window(g, lat.L)), lat)
 
 
 def _quadrature_table(g, p: int) -> np.ndarray:
-    g = as_window(g)
-    real_spectrum(g)
-    return frame_symbol(g, CanonicalFinite(len(g), p, 0)).values / (2 * p)
+    """d / (2p) over (L, p, 0), from one FFT that also serves the
+    real-spectrum check."""
+    G = np.fft.fft(as_window(g))
+    require_real(G / len(G))
+    return _spectrum_symbol(G, CanonicalFinite(len(G), p, 0)).values / (2 * p)
 
 
 def cond_quadrature(g, p: int, tol: float = DEFAULT_TOL) -> tuple[bool, float]:

@@ -110,21 +110,23 @@ def test_periodized_elements_are_finite_basis_rows():
     # the same chirp and every periodized element is a row of the default
     # finite basis up to a unimodular phase.  Lattices such as (8, 1) and
     # (12, 3), where the two n0 differ mod N, need the beta = 0 bundle of
-    # the next test.
+    # the next test.  One product of all elements against all rows per case.
     rng = SplitMix64(73)
+    cases = 0
     for N, b in ((8, 3), (12, 4), (16, 6), (24, 9)):
         g = DiscreteWindow(-3, rng.complex_vector(6))
         fam = WilsonSequenceFamily(g, N, b)
         for K in (N // 2, N, 3 * N // 2):
             L = N * K
             basis = wilson_finite(g.periodize(L), CanonicalFinite(L, K, b)).basis
-            unit = basis / np.linalg.norm(basis, axis=1, keepdims=True)
-            for (m, n), e in fam.elements(range(L // fam.c)):
-                v = e.periodize(L)
-                ip = unit.conj() @ v
-                row = int(np.argmax(np.abs(ip)))
-                phase = ip[row] / abs(ip[row])
-                assert np.max(np.abs(v - phase * basis[row])) <= 1e-12, (N, b, K, m, n)
+            V = np.array([e.periodize(L) for _, e in fam.elements(range(L // fam.c))])
+            ip = (basis / np.linalg.norm(basis, axis=1, keepdims=True)).conj() @ V.T
+            rows = np.argmax(np.abs(ip), axis=0)
+            phase = ip[rows, np.arange(len(V))]
+            phase /= np.abs(phase)
+            assert np.max(np.abs(V - phase[:, None] * basis[rows])) <= 1e-12, (N, b, K)
+            cases += 1
+    assert cases == 12
 
 
 def test_periodized_family_is_the_beta_zero_finite_basis():

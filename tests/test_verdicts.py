@@ -254,3 +254,99 @@ def test_wilson_verify_runs_in_small_memory(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 0 and json.loads(capsys.readouterr().out)["orthonormal"]
     assert peak < 16 * lat.L ** 2 / 8  # an eighth of one L x L complex array
+
+
+# -- the per-lattice tables: zak.symbol_layout and wilson._pairing -------------
+
+def clear_lattice_caches():
+    zak.symbol_layout.cache_clear()
+    wilson._pairing.cache_clear()
+
+
+def symbol_and_riesz(g, lat):
+    sys = wilson_finite(g, lat)
+    return zak.frame_symbol(g, lat), riesz_spectrum(sys)
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_cached_tables_give_the_cold_bits(data):
+    """Lattices sharing (L, p) with different b, and the rectangle (L, q, 0)
+    of the first one's report, interleaved: warm calls equal cold ones bit
+    for bit and the dense spectra to 1e-12."""
+    half = data.draw(st.integers(2, 32), label="L/2")
+    p = data.draw(st.sampled_from([d for d in range(1, half) if half % d == 0]), label="p")
+    b0 = data.draw(st.integers(0, half // p - 1), label="b0")
+    b1 = data.draw(st.integers(0, half // p - 1).filter(lambda b: b != b0), label="b1")
+    seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+    L = 2 * half
+    sheared, other = CanonicalFinite(L, p, b0), CanonicalFinite(L, p, b1)
+    g = tighten(meta_finite(SplitMix64(seed).real_dft_window(L), sigma_params(sheared)), sheared)
+    rect = CanonicalFinite(L, equivalence_report(g, sheared).params.q, 0)
+    h = meta_finite(g, sigma_params(sheared), inverse=True)
+    cases = [(g, sheared), (g, other), (h, rect), (g, sheared), (h, rect), (g, other)]
+    clear_lattice_caches()
+    for w, lat in cases:
+        symbol_and_riesz(w, lat)
+    hits = wilson._pairing.cache_info().hits, zak.symbol_layout.cache_info().hits
+    warm = [symbol_and_riesz(w, lat) for w, lat in cases]
+    assert wilson._pairing.cache_info().hits == hits[0] + len(cases)
+    assert zak.symbol_layout.cache_info().hits >= hits[1] + len(cases)
+    for (w, lat), (sym, spectrum) in zip(cases, warm):
+        clear_lattice_caches()
+        cold_sym, cold_spectrum = symbol_and_riesz(w, lat)
+        for name in ("values", "window_zak", "shifted_zak", "chirp"):
+            assert same_bits(getattr(sym, name), getattr(cold_sym, name)), (lat, name)
+        assert same_bits(spectrum, cold_spectrum), lat
+        frame = np.linalg.eigvalsh(frame_operator(gabor_system(w, lat)))
+        assert np.max(np.abs(np.sort(sym.values.ravel()) - frame)) <= 1e-12 * max(1.0, frame[-1])
+        dense = np.linalg.eigvalsh(gram(wilson_finite(w, lat)))
+        assert np.max(np.abs(np.sort(spectrum) - dense)) <= 1e-12 * max(1.0, dense[-1]), lat
+
+
+def test_cached_tables_are_read_only():
+    lat = CanonicalFinite(48, 2, 3)
+    g = SplitMix64(92).complex_vector(lat.L)
+    sym, _ = symbol_and_riesz(g, lat)
+    tables = [*zak.symbol_layout(lat), *wilson._pairing(lat, sigma_params(lat)), sym.chirp]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = table[0]
+
+
+def test_lattice_caches_are_bounded():
+    clear_lattice_caches()
+    g = SplitMix64(93).complex_vector(96)
+    lattices = [CanonicalFinite(96, 1, b) for b in range(40)]
+    for lat in lattices:
+        symbol_and_riesz(g, lat)
+    for cache in (zak.symbol_layout, wilson._pairing):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and len(lattices) > maxsize
+        assert cache.cache_info().currsize == maxsize
+
+
+def test_lattice_caches_retain_bounded_memory():
+    """After 40 lattices at L = 4096 the caches hold at most their maxsize
+    entries: 26 L bytes per pairing and 40 L/(2p) per layout."""
+    L, p = 4096, 4
+    first = CanonicalFinite(L, p, 1)
+    g = tighten(meta_finite(SplitMix64(94).real_dft_window(L), sigma_params(first)), first)
+    lattices = [CanonicalFinite(L, p, 1 + 3 * k) for k in range(40)]
+    for lat in lattices:
+        sigma_params(lat)  # the bundles are cached on their own, outside this bound
+    clear_lattice_caches()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for lat in lattices:
+            gram_deviation(wilson_finite(g, lat))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    bound = wilson.PAIRING_CACHE * 26 * L + zak.LAYOUT_CACHE * 40 * L // (2 * p)
+    assert retained <= bound + 64 * 1024, (retained, bound)

@@ -376,6 +376,11 @@ class TestContinuousDemo:
         with pytest.raises(ValueError):
             wilson_continuous_demo(1.0, 1026 ** 2)  # above MAX_L = 1024^2
 
+    @pytest.mark.parametrize("nu", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_nu_must_be_finite_positive(self, nu):
+        with pytest.raises(ValueError, match="nu must be a finite positive number"):
+            wilson_continuous_demo(nu, 64)
+
     @pytest.mark.parametrize("lat", [(1 / 2, 1 / 4, 1), (1, 1 / 3, 1 / 2), (3 / 4, 1 / 2, 2 / 3),
                                      (1 / 4, 0, 2), (1 / 4, 1 / 10, 2), (HEX_A, HEX_B, HEX_D)])
     def test_transported_gram_on_volume_half_lattices(self, lat):
