@@ -5,15 +5,14 @@ basis construction in C^L, for finitely supported sequences on Z, and in
 a sampled continuous demonstration pipeline.
 """
 
-from .gabor import (FrameError, GaborSystem, frame_bounds, frame_operator,
-                    gabor_system, tighten, tightness_deviation)
+from .gabor import (FrameError, frame_bounds, frame_operator, gabor_system, tighten,
+                    tightness_deviation)
 from .metaplectic import (ParameterSearchError, SigmaParams, apply_continuous_U,
                           meta_finite, sigma_params)
 from .ring import (CanonicalDiscrete, CanonicalFinite, CanonicalReal,
                    GeneratorMatrix, LatticeError, canonical_discrete,
                    canonical_finite, ext_gcd, hnf_real, lattice_points_finite)
-from .signal import (DiscreteWindow, centered_dft, dft, real_spectrum, tf_shift,
-                     unitary_dft)
+from .signal import DiscreteWindow, centered_dft, dft, tf_shift
 from .wilson import (EquivalenceReport, WilsonSequenceFamily, WilsonSystem,
                      chirp_discrete, equivalence_report, gram_deviation,
                      riesz_bounds, riesz_spectrum, wilson_continuous_demo,

@@ -5,11 +5,12 @@ Reports are JSON on stdout with sorted keys, so identical inputs (and
 --seed) produce byte-identical output; wall time goes to stderr.  Exit
 codes: 0 success / verdict true, 1 verdict false, 2 usage error (a bad
 flag, WILSON_TOL or file: missing, unreadable, malformed, unwritable; a
-window whose length is not the lattice's L; a --lattice with L > 2**20, or
-with L > 4096 for wilson build, the one command that makes an L x L array;
-a demo-hex --L that is not the square of an even integer in [64, 2**20] or
-a --nu that is not finite positive), 3 numerical failure.  WILSON_TOL
-(finite > 0) replaces the 1e-9 default.
+window with a non-finite sample or whose length is not the lattice's L; a
+--lattice with L > 2**20, or with L > 4096 for wilson build, the one
+command that makes an L x L array; a demo-hex --L that is not the square
+of an even integer in [64, 2**20] or a --nu that is not finite positive),
+3 numerical failure (a non-finite verdict among them: NaN is not JSON).
+WILSON_TOL (finite > 0) replaces the 1e-9 default.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import numpy as np
 
 from . import gabor, metaplectic, ring, wilson, zak
 from .rng import SplitMix64
-from .signal import (DEFAULT_TOL, DiscreteWindow, read_window_csv, unitary_dft,
-                     write_samples, write_window_csv)
+from .signal import (DEFAULT_TOL, DiscreteWindow, dft, read_window_csv, write_samples,
+                     write_window_csv)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -69,7 +70,7 @@ def read_window(path: str, lat: ring.CanonicalFinite) -> np.ndarray:
 
 
 def emit(report: dict, t0: float) -> None:
-    print(json.dumps(report, sort_keys=True))
+    print(json.dumps(report, sort_keys=True, allow_nan=False))  # ValueError: exit 3
     print(f"wall time: {time.perf_counter() - t0:.3f} s", file=sys.stderr)
 
 
@@ -100,11 +101,11 @@ def cmd_gabor(args, t0: float) -> int:
     tight_lat = lat
     if args.fourier_twist:
         # the DFT maps (x, y) to (y, -x), so gt is tight over the image lattice
-        gt = unitary_dft(gt)
+        gt = np.sqrt(lat.L) * dft(gt)  # the DFT made unitary
         tight_lat = ring.canonical_finite(ring.GeneratorMatrix(
             0, lat.p, -lat.time_step, -lat.b, domain="finite", L=lat.L))
     write_window_csv(args.out, gt)
-    dev = gabor.spectral_deviation(gt, tight_lat)
+    dev = zak.frame_symbol(gt, tight_lat).deviation
     emit({"command": "gabor tighten", "lattice": lat.to_json(),
           "tight_deviation": dev, "out": args.out}, t0)
     return EXIT_OK
@@ -138,11 +139,12 @@ def cmd_wilson_build(args, t0: float) -> int:
                          f"exceeds {wilson.DENSE_MAX_L}")
     g = read_window(args.window, lat)
     sys_ = wilson.wilson_finite(g, lat)
+    m, n = wilson.wilson_index_set(lat.L, sys_.params.q)
     with open(args.out, "w") as fh:
         fh.write("m,n,index,re,im\n")
-        write_samples(fh, sys_.basis, [f"{m},{n}," for m, n in sys_.index_set])
+        write_samples(fh, sys_.basis, [f"{i},{j}," for i, j in zip(m.tolist(), n.tolist())])
     emit({"command": "wilson build", "lattice": lat.to_json(),
-          "elements": len(sys_.index_set), "out": args.out}, t0)
+          "elements": lat.L, "out": args.out}, t0)
     return EXIT_OK
 
 

@@ -12,15 +12,13 @@ normalized inner product from :mod:`wilsonlat.signal`.
 
 Verdicts never build the family.  The frame bounds (A, B) are the extreme
 eigenvalues of S, read from the frame symbol d of :mod:`wilsonlat.zak` in
-O(L log L), and the tightness deviation is max|d - 2| = ||S - 2I||_2,
-never below the entrywise max|S - 2I| of the dense oracle
-``tightness_deviation``.  ``gabor_system`` and ``frame_operator`` are the
-other dense oracles.
+O(L log L), and the tightness deviation ``frame_symbol(g, lat).deviation``
+is max|d - 2| = ||S - 2I||_2, never below the entrywise max|S - 2I| of the
+dense oracle ``tightness_deviation``.  ``gabor_system`` (the family as a
+2L x L array) and ``frame_operator`` are the other dense oracles.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,36 +27,26 @@ from .signal import COND_FLOOR, FrameError, as_window, tf_shift
 from .zak import frame_symbol
 
 
-@dataclass(frozen=True)
-class GaborSystem:
-    window: np.ndarray = field(repr=False)
-    lattice: CanonicalFinite
-    elements: np.ndarray = field(repr=False)  # shape (2L, L), row order (m, n)
-
-    @property
-    def L(self) -> int:
-        return self.lattice.L
-
-
-def gabor_system(g, lat: CanonicalFinite) -> GaborSystem:
+def gabor_system(g, lat: CanonicalFinite) -> np.ndarray:
+    """The 2L x L array of the Gabor family, rows (m, n) in lex order (oracle)."""
     g = as_window(g, lat.L)
     L, p, b = lat.L, lat.p, lat.b
-    # rows (m, n) in lex order; 64 per tf_shift call bound its 40 B/entry of temporaries
+    # 64 rows per tf_shift call bound its 40 B/entry of temporaries
     ms, ns = np.divmod(np.arange(2 * L), L // p)
     x, y = ms * lat.time_step + ns * b, ns * p
     E = np.empty((2 * L, L), dtype=complex)
     for i in range(0, 2 * L, 64):
         E[i:i + 64] = tf_shift(g, x[i:i + 64], y[i:i + 64])
-    return GaborSystem(g, lat, E)
+    return E
 
 
-def frame_operator(sys: GaborSystem) -> np.ndarray:
-    """S = sum over elements of |e><e| as an L x L matrix.
+def frame_operator(E: np.ndarray) -> np.ndarray:
+    """S = sum over the rows e of E of |e><e| as an L x L matrix.
 
     Row block j0:j1 of S^T = conj(E[:, j0:j1])^T E is written in place, so
     beside S only a 2L x 64 conjugate block is held, never conj(E).
     """
-    E, L = sys.elements, sys.L
+    L = E.shape[1]
     St = np.empty((L, L), dtype=complex)
     for j0 in range(0, L, 64):
         np.matmul(E[:, j0:j0 + 64].conj().T, E, out=St[j0:j0 + 64])
@@ -66,10 +54,10 @@ def frame_operator(sys: GaborSystem) -> np.ndarray:
     return St.T
 
 
-def tightness_deviation(sys: GaborSystem, bound: float = 2.0) -> float:
-    """Entrywise max|S - bound I| of the dense frame operator (oracle)."""
-    S = frame_operator(sys)
-    S[np.diag_indices(sys.L)] -= bound
+def tightness_deviation(E: np.ndarray, bound: float = 2.0) -> float:
+    """Entrywise max|S - bound I| of the dense frame operator of E (oracle)."""
+    S = frame_operator(E)
+    S[np.diag_indices(E.shape[1])] -= bound
     return float(np.max(np.abs(S)))
 
 
@@ -77,11 +65,6 @@ def frame_bounds(g, lat: CanonicalFinite) -> tuple[float, float]:
     """Optimal frame bounds (A, B) = (min d, max d) over the frame symbol."""
     d = frame_symbol(g, lat).values
     return float(d.min()), float(d.max())
-
-
-def spectral_deviation(g, lat: CanonicalFinite) -> float:
-    """||S - 2I||_2 = max|d - 2| from the frame symbol (redundancy-2 bound)."""
-    return frame_symbol(g, lat).deviation
 
 
 def tighten(g, lat: CanonicalFinite) -> np.ndarray:

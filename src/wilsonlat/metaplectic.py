@@ -16,9 +16,10 @@ psi the phase of C at (k, l).
 Search.  A candidate is a row (alpha, beta), |alpha| = 1, v = alpha b +
 beta p != 0, c = gcd(u, |v|), u = L/(2p), with a Bezout pair (m0, n0)
 solving alpha u m0 + v n0 = c and gcd(x0, y0) = c, x0 = u m0 + b n0,
-y0 = p n0.  Preference: larger c (c = u maps onto the rectangle with the
-*same* p, possible iff gcd(p, u) | b: the aligned case), the sign
-conditions, small |beta|, |m0|, |n0|, alpha = +1, then (beta, m0, n0).
+y0 = p n0, beta, m0 and n0 in the box [-2L, 2L].  Preference: larger c
+(c = u maps onto the rectangle with the *same* p, possible iff
+gcd(p, u) | b: the aligned case), the sign conditions, small |beta|,
+|m0|, |n0|, alpha = +1, then (beta, m0, n0).
 The kernel of a candidate is proportional to a unitary unless beta != 0
 and v2(beta) = v2(L), v2 the exponent of 2 (its Gauss sums vanish;
 checked against the dense test, not proven here).  The search visits
@@ -274,15 +275,15 @@ def _search(lat: CanonicalFinite, box: int) -> SigmaParams:
 
 
 @lru_cache(maxsize=512)
-def sigma_params(lat: CanonicalFinite, box: int | None = None) -> SigmaParams:
+def sigma_params(lat: CanonicalFinite) -> SigmaParams:
     """Search the symplectic parameter bundle for a canonical lattice.
 
     For b = 0 the lattice is rectangular and sigma = id; otherwise the preferred
-    admissible candidate with beta, m0, n0 in the box (default [-2L, 2L]).
+    admissible candidate with beta, m0, n0 in the box [-2L, 2L].
     """
     if lat.b == 0:
         return SigmaParams(1, 0, 0, 1, lat.L, lat.p, 0)
-    return _search(lat, 2 * lat.L if box is None else box)
+    return _search(lat, 2 * lat.L)
 
 
 def _dilate(f: np.ndarray, scale: float) -> np.ndarray:

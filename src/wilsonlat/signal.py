@@ -32,6 +32,7 @@ fields and separators in one uint8 row, and the NULs are dropped per block.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -61,12 +62,6 @@ def dft(f) -> np.ndarray:
     return np.fft.fft(f) / len(f)
 
 
-def unitary_dft(f) -> np.ndarray:
-    """DFT rescaled to be unitary for the normalized inner product."""
-    f = as_window(f)
-    return np.sqrt(len(f)) * dft(f)
-
-
 def centered_dft(f: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Unitary DFT on the symmetric grid: indices j, k measured from L/2."""
     L = len(f)
@@ -77,11 +72,6 @@ def centered_dft(f: np.ndarray, inverse: bool = False) -> np.ndarray:
     if inverse:
         return np.fft.ifft(alt * f) * (alt * (quarter * np.sqrt(L)))
     return np.fft.fft(alt * f) * (alt * (quarter.conjugate() / np.sqrt(L)))
-
-
-def real_spectrum(g) -> np.ndarray:
-    """dft(g), rejected unless real-valued (``require_real``)."""
-    return require_real(dft(g))
 
 
 def require_real(ghat: np.ndarray) -> np.ndarray:
@@ -300,7 +290,8 @@ def write_window_csv(path, w) -> None:
 
 
 def read_window_csv(path) -> np.ndarray:
-    """Window from an ``index,re,im`` CSV; ValueError names a bad line."""
+    """Window from an ``index,re,im`` CSV; ValueError names a bad line (a
+    non-finite sample is a bad line)."""
     rows = {}
     with open(path) as fh:
         header = fh.readline().strip()
@@ -313,6 +304,8 @@ def read_window_csv(path) -> np.ndarray:
             try:
                 i, re, im = line.split(",")
                 i, v = int(i), complex(float(re), float(im))
+                if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+                    raise ValueError("non-finite sample")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad window CSV row {line!r}") from exc
             if i in rows:

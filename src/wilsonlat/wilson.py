@@ -8,7 +8,8 @@ sigma = id when b = 0), whose index set
 
     I = {0..q-1} x {0, c}  union  {0..2q-1} x {1..c-1}
 
-has exactly L indices.  Element (m, n) is c1 pi(sigma^{-1}(m1 c, n q)) g +
+has exactly L indices (``wilson_index_set``: its m and n as integer arrays
+in (n, m)-lex order).  Element (m, n) is c1 pi(sigma^{-1}(m1 c, n q)) g +
 c2 pi(sigma^{-1}(m c, -n q)) g, with ``wilson_pair`` the one rule for
 (m1, c1, c2): middle rows take m1 = m with 1/sqrt2, 1/sqrt2 (m+n even) or
 i/sqrt2, -i/sqrt2 (m+n odd); the boundary rows n = 0 and n = c keep the
@@ -78,25 +79,19 @@ import numpy as np
 from .gabor import FrameError, tighten
 from .metaplectic import SigmaParams, apply_continuous_U, meta_finite, sigma_params
 from .ring import MAX_L, CanonicalFinite, LatticeError, ext_gcd
-from .signal import (DEFAULT_TOL, DiscreteWindow, as_window, centered_dft,
-                     real_spectrum, tf_shift)
+from .signal import (DEFAULT_TOL, DiscreteWindow, as_window, centered_dft, dft,
+                     require_real, tf_shift)
 from .zak import FrameSymbol, frame_symbol, symbol_layout
 
 PAIRING_CACHE = 8  # (lattice, sigma) pairs whose Riesz pairing is kept (module docstring)
 
 
-def _index_arrays(L: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+def wilson_index_set(L: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """m and n of the L Wilson indices in (n, m)-lex order: rows n = 0 and
     n = L/(2p) hold p indices, the others 2p, so index i has n = (i + p) // 2p."""
     i = np.arange(L)
     n = (i + p) // (2 * p)
     return i - np.maximum(2 * n - 1, 0) * p, n
-
-
-def wilson_index_set(L: int, p: int) -> list[tuple[int, int]]:
-    """Index pairs (m, n) in lexicographic (n, m) order; always L of them."""
-    m, n = _index_arrays(L, p)
-    return list(zip(m.tolist(), n.tolist()))
 
 
 def wilson_pair(m, n, top: int | None) -> tuple:
@@ -117,8 +112,8 @@ def wilson_pair(m, n, top: int | None) -> tuple:
 class WilsonSystem:
     """Wilson system of ``window`` over ``lattice``, transported through ``params``.
 
-    ``basis`` (rows = elements, (n, m)-lex order over the index set of the
-    image rectangle (L, q)) is gathered on first read; :func:`gram_deviation`
+    ``basis`` (rows = elements, in ``wilson_index_set`` order over the image
+    rectangle (L, q)) is gathered on first read; :func:`gram_deviation`
     works from ``symbol``, the frame symbol of the window over the lattice,
     built once per system, and never reads the basis.
     """
@@ -133,16 +128,12 @@ class WilsonSystem:
             raise LatticeError(f"symplectic parameters of ({sp.L}, {sp.p}, {sp.b}) "
                                f"given for {lat}")
 
-    @cached_property
-    def index_set(self) -> tuple:
-        return tuple(wilson_index_set(self.lattice.L, self.params.q))
-
     def atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Lattice coordinates k, l and coefficients c, each of shape (2, L):
         element i is sum_s c[s, i] tf_shift(g, k[s, i] a + l[s, i] b, l[s, i] p)."""
         L, p, b, a = self.lattice.L, self.lattice.p, self.lattice.b, self.lattice.time_step
         sp, q, top = self.params, self.params.q, self.params.gcd_c
-        m, n = _index_arrays(L, q)
+        m, n = wilson_index_set(L, q)
         m1, c1, c2 = wilson_pair(m, n, top)
         X, Y = np.array([m1 * top, m * top]), np.array([n * q, -n * q])
         # sigma^{-1} = [[delta, -beta], [-gamma, alpha]], reduced mod L so the
@@ -329,7 +320,7 @@ def equivalence_report(g, lat: CanonicalFinite, tol: float = DEFAULT_TOL,
     g, sp = sheared.window, sheared.params
     h = meta_finite(g, sp, inverse=True)
     try:
-        real_spectrum(h)
+        require_real(dft(h))
     except ValueError as exc:
         raise FrameError(f"transported {exc}") from exc
     rect = wilson_finite(h, CanonicalFinite(lat.L, sp.q, 0))

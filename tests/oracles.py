@@ -70,7 +70,7 @@ from math import gcd
 
 import numpy as np
 
-from wilsonlat.gabor import GaborSystem, tightness_deviation
+from wilsonlat.gabor import tightness_deviation
 from wilsonlat.metaplectic import (UNITARY_TOL, ParameterSearchError, SigmaParams, _admissible,
                                    _shears, _unit_constant)
 from wilsonlat.ring import CanonicalFinite, CanonicalReal, LatticeError, ext_gcd
@@ -416,9 +416,10 @@ def ft_at(w: DiscreteWindow, t) -> np.ndarray:
     return (w.values[None, :] * np.exp(-2j * np.pi * np.outer(t, l))).sum(axis=1)
 
 
-def gabor_element(sys: GaborSystem, m: int, n: int) -> np.ndarray:
-    N = sys.L // sys.lattice.p
-    return sys.elements[(m % (2 * sys.lattice.p)) * N + (n % N)]
+def gabor_element(E: np.ndarray, lat: CanonicalFinite, m: int, n: int) -> np.ndarray:
+    """Element (m, n) of the Gabor family E = ``gabor_system(g, lat)``."""
+    N = lat.L // lat.p
+    return E[(m % (2 * lat.p)) * N + (n % N)]
 
 
 def wilson_element(sys: WilsonSystem, m: int, n: int) -> np.ndarray:
@@ -466,10 +467,11 @@ def norm(f) -> float:
     return float(np.sqrt(abs(inner(f, f))))
 
 
-def is_tight(sys: GaborSystem, bound: float = 2.0, tol: float = DEFAULT_TOL) -> bool:
+def is_tight(E: np.ndarray, bound: float = 2.0, tol: float = DEFAULT_TOL) -> bool:
+    """Entrywise tightness verdict for the Gabor family E = ``gabor_system(g, lat)``."""
     if bound <= 0:
         raise ValueError("bound must be positive")
-    return tightness_deviation(sys, bound) <= tol
+    return tightness_deviation(E, bound) <= tol
 
 
 def map_point(sp: SigmaParams, x: int, y: int) -> tuple[int, int]:

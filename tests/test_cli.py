@@ -7,8 +7,8 @@ from wilsonlat.cli import main
 from wilsonlat.gabor import tighten
 from wilsonlat.ring import CanonicalFinite
 from wilsonlat.rng import SplitMix64
-from wilsonlat.signal import read_window_csv, unitary_dft, write_window_csv
-from wilsonlat.wilson import wilson_finite
+from wilsonlat.signal import dft, read_window_csv, write_window_csv
+from wilsonlat.wilson import wilson_finite, wilson_index_set
 
 
 def run(capsys, *argv):
@@ -191,6 +191,41 @@ def test_malformed_window_exit2(tmp_path, capsys, rows):
     assert "bad.csv:" in err and len(err.strip().splitlines()) == 1
 
 
+WINDOW_COMMANDS = [["wilson", "verify"], ["wilson", "build"], ["gabor", "tighten"],
+                   ["zak", "check"]]
+
+
+def window_command(tmp_path, command, lattice, win):
+    extra = ["--out", str(tmp_path / "out.csv")] if command[-1] in ("build", "tighten") else []
+    return [*command, "--lattice", lattice, "--window", str(win), *extra]
+
+
+@pytest.mark.parametrize("command", WINDOW_COMMANDS)
+@pytest.mark.parametrize("sample", ["nan,0", "0,nan", "inf,0", "-inf,0"])
+def test_non_finite_window_sample_exit2(tmp_path, capsys, command, sample):
+    win = tmp_path / "bad.csv"
+    win.write_text("index,re,im\n" + "".join(f"{i},1,0\n" for i in range(8)).replace(
+        "3,1,0", f"3,{sample}"))
+    code, out, err = run(capsys, *window_command(tmp_path, command, "8,1,0", win))
+    assert code == 2
+    assert out == ""
+    assert "bad.csv:5:" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, lattice", [
+    (["wilson", "verify"], "8,1,0"), (["wilson", "verify"], "8,1,3"),
+    (["gabor", "tighten"], "8,1,0"), (["zak", "check"], "8,1,0")])
+def test_overflowing_window_is_a_numerical_failure_exit3(tmp_path, capsys, command, lattice):
+    # finite samples whose FFT overflows: the verdict is NaN, which is not JSON
+    win = tmp_path / "huge.csv"
+    write_window_csv(win, np.full(8, complex(1e308, 1e308)))
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, *window_command(tmp_path, command, lattice, win))
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
+
+
 def test_unwritable_out_exit2(tmp_path, capsys):
     win = tmp_path / "ones.csv"
     write_window_csv(win, np.ones(8))
@@ -251,7 +286,7 @@ def test_gabor_tighten_fourier_twist(tmp_path, capsys):
     # tightness moves to the DFT image of the lattice, where it is measured
     assert report["tight_deviation"] <= 1e-12
     assert len(read_window_csv(out)) == 16
-    want = unitary_dft(tighten(g, CanonicalFinite(16, 4, 0)))
+    want = np.sqrt(16) * dft(tighten(g, CanonicalFinite(16, 4, 0)))
     assert np.max(np.abs(read_window_csv(out) - want)) <= 1e-12
 
 
@@ -296,8 +331,9 @@ def test_wilson_build_bytes_match_per_sample_writer(tmp_path, capsys):
                      "--window", str(win), "--out", str(out))
     assert code == 0
     sys_ = wilson_finite(read_window_csv(win), lat)
+    m, n = wilson_index_set(lat.L, sys_.params.q)
     want = "m,n,index,re,im\n" + old_sample_lines(
-        sys_.basis, [f"{m},{n}," for m, n in sys_.index_set])
+        sys_.basis, [f"{i},{j}," for i, j in zip(m.tolist(), n.tolist())])
     assert out.read_bytes() == want.encode()
     assert b"-0," in out.read_bytes()
 

@@ -81,7 +81,7 @@ class TestSigmaParams:
 
     def test_no_candidate_raises(self):
         with pytest.raises(ParameterSearchError, match="box"):
-            sigma_params(CanonicalFinite(8, 1, 3), box=0)
+            metaplectic._search(CanonicalFinite(8, 1, 3), 0)
 
     def test_invalid_bundle_rejected(self):
         with pytest.raises(LatticeError):
@@ -107,7 +107,7 @@ class TestSigmaParams:
         half = data.draw(st.integers(1, 2048), label="L/2")
         p = data.draw(st.sampled_from([d for d in range(1, half + 1) if half % d == 0]), label="p")
         lat = CanonicalFinite(2 * half, p, data.draw(st.integers(0, half // p - 1), label="b"))
-        sp = searched(sigma_params, lat, data.draw(st.integers(-1, 2 * lat.L), label="box"))
+        sp = searched(boxed, lat, data.draw(st.integers(-1, 2 * lat.L), label="box"))
         if sp is not None:
             assert_bezout(sp)
             assert SigmaParams(sp.alpha, sp.beta, sp.gamma, sp.delta, sp.L, sp.p, sp.b) == sp
@@ -401,6 +401,12 @@ def sheared_lattices(max_L):
             for b in range(1, L // (2 * p))]
 
 
+def boxed(lat, box):
+    """The search in the box [-box, box]; the identity bundle at b = 0, as
+    ``sigma_params``."""
+    return sigma_params(lat) if lat.b == 0 else metaplectic._search(lat, box)
+
+
 def searched(search, lat, box):
     """The bundle a search returns, or None where it raises."""
     try:
@@ -478,9 +484,9 @@ class TestClosedFormSearch:
                 want = next((sp for sp in candidates(lat, box) if dense_admissible(sp)), None)
                 if want is None:
                     with pytest.raises(ParameterSearchError, match="box"):
-                        sigma_params(lat, box=box)
+                        metaplectic._search(lat, box)
                 else:
-                    assert sigma_params(lat, box=box) == want
+                    assert metaplectic._search(lat, box) == want
                 outcomes.add(None if want is None else (want.aligned, want.sign_adjusted))
         # every branch is reached: no candidate, aligned or not, sign-adjusted or not
         assert outcomes >= {None, (True, False), (False, False), (False, True)}
@@ -492,9 +498,10 @@ class TestResidueClassSearch:
 
     def test_matches_box_search_on_small_lattices(self):
         for lat in sheared_lattices(48):
-            for box in (*range(-1, 8), None):
-                want = searched(box_search, lat, 2 * lat.L if box is None else box)
-                assert searched(sigma_params, lat, box) == want, (lat, box)
+            for box in range(-1, 8):
+                want = searched(box_search, lat, box)
+                assert searched(metaplectic._search, lat, box) == want, (lat, box)
+            assert sigma_params(lat) == box_search(lat, 2 * lat.L), lat
 
     def test_matches_box_search_on_the_benchmark_families(self):
         lattices = [CanonicalFinite(L, p, b) for L, p in ((512, 1), (384, 3), (512, 2))
@@ -511,7 +518,7 @@ class TestResidueClassSearch:
         b = data.draw(st.integers(1, half // p - 1), label="b")
         lat = CanonicalFinite(2 * half, p, b)
         box = data.draw(st.integers(-1, 2 * lat.L), label="box")
-        assert searched(sigma_params, lat, box) == searched(box_search, lat, box)
+        assert searched(metaplectic._search, lat, box) == searched(box_search, lat, box)
 
     @pytest.mark.parametrize("lat, sigma", [
         (CanonicalFinite(2 ** 20, 1, 1), (1, 524287, -1, -524286)),

@@ -7,7 +7,7 @@ from wilsonlat.metaplectic import meta_finite, sigma_params
 from wilsonlat.ring import CanonicalFinite
 from wilsonlat.rng import SplitMix64
 from wilsonlat.signal import (DiscreteWindow, FrameError, dft, read_window_csv, tf_shift,
-                              unitary_dft, write_window_csv)
+                              write_window_csv)
 from wilsonlat.wilson import wilson_finite
 from wilsonlat.zak import frame_symbol
 
@@ -103,7 +103,7 @@ def test_inner_conjugate_symmetry():
 def test_unitary_dft_preserves_norm():
     rng = SplitMix64(14)
     f = rng.complex_vector(16)
-    assert norm(unitary_dft(f)) == pytest.approx(norm(f))
+    assert norm(np.sqrt(len(f)) * dft(f)) == pytest.approx(norm(f))
 
 
 class TestHermInvSqrt:
@@ -185,6 +185,35 @@ def test_window_csv_malformed_rows_name_the_line(tmp_path, rows, line, what):
     with pytest.raises(ValueError, match=what) as info:
         read_window_csv(path)
     assert f"w.csv:{line}:" in str(info.value)
+
+
+@pytest.mark.parametrize("sample", ["nan,0", "0,nan", "inf,0", "-inf,0", "1,-infinity"])
+def test_window_csv_non_finite_sample_names_the_line(tmp_path, sample):
+    path = tmp_path / "w.csv"
+    path.write_text(f"index,re,im\n0,1,0\n1,{sample}\n2,0,0\n")
+    with pytest.raises(ValueError, match="bad window CSV row") as info:
+        read_window_csv(path)
+    assert "w.csv:3:" in str(info.value)
+
+
+def test_window_csv_permuted_rows_and_blank_lines_read_back_exactly(tmp_path):
+    w = SplitMix64(17).complex_vector(7) * 10.0 ** np.arange(-3, 4)
+    order = [4, 0, 6, 2, 5, 1, 3]
+    re, im = w.real.tolist(), w.imag.tolist()
+    lines = [f"{i},{re[i]!r},{im[i]!r}" for i in order]
+    path = tmp_path / "w.csv"
+    text = "\n\n".join(lines[:3]) + "\n \n" + "\n".join(lines[3:])
+    path.write_text("index,re,im\n\n" + text + "\n\n")
+    back = read_window_csv(path)
+    assert back.dtype == complex and np.array_equal(back, w)
+
+
+@pytest.mark.parametrize("indices", [[0, 1, 3], [1, 2, 3], [0, 2]])
+def test_window_csv_index_gap_rejected(tmp_path, indices):
+    path = tmp_path / "w.csv"
+    path.write_text("index,re,im\n" + "".join(f"{i},1,0\n" for i in indices))
+    with pytest.raises(ValueError, match=r"must cover indices 0\.\.L-1"):
+        read_window_csv(path)
 
 
 def test_window_csv_bytes_match_per_sample_writer(tmp_path):

@@ -44,7 +44,7 @@ def phi_gather(g, lat):
     set, with the same floating-point operations as ``WilsonSystem.basis``."""
     L, p, b, a = lat.L, lat.p, lat.b, lat.time_step
     pp = phi_params_finite(sigma_params(lat))
-    m, n = np.array(wilson_index_set(L, p)).T
+    m, n = wilson_index_set(L, p)
     m1, c1, c2 = wilson_pair(m, n, a)
     (k1, l1), (k2, l2) = phi_map(m1, n, pp), phi_map(m, -n, pp)
     basis = tf_shift(g, k1 * a + l1 * b, l1 * p)

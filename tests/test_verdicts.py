@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import wilsonlat
 from oracles import ambiguity_table, gram, scan_gram_deviation
 from wilsonlat import cli, gabor, metaplectic, wilson, zak
-from wilsonlat.gabor import (frame_bounds, frame_operator, gabor_system,
-                             spectral_deviation, tighten, tightness_deviation)
+from wilsonlat.gabor import (frame_bounds, frame_operator, gabor_system, tighten,
+                             tightness_deviation)
 from wilsonlat.metaplectic import meta_finite, sigma_params
 from wilsonlat.ring import CanonicalFinite, LatticeError
 from wilsonlat.rng import SplitMix64
@@ -44,7 +44,7 @@ def check_against_dense(g, lat):
     fast = gram_deviation(wilson_finite(g, lat))
     assert fast >= dense - 1e-13, (lat, fast, dense)
     entrywise = tightness_deviation(gabor_system(g, lat), 2.0)
-    spectral = spectral_deviation(g, lat)
+    spectral = zak.frame_symbol(g, lat).deviation
     assert spectral >= entrywise - 1e-13, (lat, spectral, entrywise)
     verdicts = (fast <= TOL, dense <= TOL, spectral <= TOL, entrywise <= TOL)
     assert verdicts[0] == verdicts[1] and verdicts[2] == verdicts[3], (lat, verdicts)
@@ -178,7 +178,7 @@ def test_ambiguity_table_is_the_lattice_of_inner_products():
         g = rng.complex_vector(lat.L)
         V = ambiguity_table(g, lat)
         # row (k, l) of the system is pi(k a + l b, l p) g; <e, g> = e . conj(g) / L
-        want = (gabor_system(g, lat).elements @ g.conj() / lat.L).reshape(V.shape)
+        want = (gabor_system(g, lat) @ g.conj() / lat.L).reshape(V.shape)
         assert np.max(np.abs(V - want)) <= 1e-13 * np.max(np.abs(g)) ** 2, lat
 
 
@@ -189,7 +189,7 @@ def test_frame_bounds_are_the_extreme_eigenvalues():
         w = np.linalg.eigvalsh(frame_operator(gabor_system(g, lat)))
         A, B = frame_bounds(g, lat)
         assert abs(A - w[0]) <= 1e-12 * w[-1] and abs(B - w[-1]) <= 1e-12 * w[-1]
-        assert spectral_deviation(g, lat) == max(B - 2.0, 2.0 - A)
+        assert zak.frame_symbol(g, lat).deviation == max(B - 2.0, 2.0 - A)
 
 
 def test_foreign_symplectic_parameters_rejected():

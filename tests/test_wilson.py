@@ -99,11 +99,13 @@ class TestWilsonIndexSet:
     def test_cardinality_is_L(self):
         for L in range(4, 44, 4):
             for p in divisors_of_half(L):
-                assert len(wilson_index_set(L, p)) == L
+                m, n = wilson_index_set(L, p)
+                assert m.shape == n.shape == (L,)
 
     def test_shape(self):
-        idx = wilson_index_set(8, 1)
-        assert idx == [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4)]
+        m, n = wilson_index_set(8, 1)
+        assert list(zip(m.tolist(), n.tolist())) == [
+            (0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4)]
 
 
 def canonical_lattices(max_L):
@@ -124,7 +126,8 @@ def literal_wilson_basis(g, lat):
         return tf_shift(g, k * a + l * b, l * p)
 
     rows = []
-    for m, n in wilson_index_set(L, sp.q):
+    ms, ns = wilson_index_set(L, sp.q)
+    for m, n in zip(ms.tolist(), ns.tolist()):
         if n == 0 or n == sp.gcd_c:
             rows.append(atom(2 * m + n % 2, n))
         elif (m + n) % 2 == 0:
@@ -160,7 +163,7 @@ class TestWilsonGather:
 
     def test_rule_on_ints_matches_rule_on_arrays(self):
         L, p = 24, 2
-        m, n = np.array(wilson_index_set(L, p)).T
+        m, n = wilson_index_set(L, p)
         m1, c1, c2 = wilson_pair(m, n, L // (2 * p))
         for i in range(L):
             assert wilson_pair(int(m[i]), int(n[i]), L // (2 * p)) == (m1[i], c1[i], c2[i])
@@ -174,7 +177,8 @@ class TestWilsonGather:
         for lat in (CanonicalFinite(24, 2, 0), CanonicalFinite(12, 2, 1),
                     CanonicalFinite(12, 6, 0), CanonicalFinite(8, 1, 3)):
             sys = wilson_finite(rng.complex_vector(lat.L), lat)
-            for row, (m, n) in enumerate(sys.index_set):
+            ms, ns = wilson_index_set(lat.L, sys.params.q)
+            for row, (m, n) in enumerate(zip(ms.tolist(), ns.tolist())):
                 assert np.array_equal(wilson_element(sys, m, n), sys.basis[row])
 
     def test_element_rejects_indices_outside_I(self):
