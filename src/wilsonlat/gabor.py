@@ -20,8 +20,7 @@ dense oracle ``tightness_deviation``.  ``gabor_system`` (the family as a
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._numpy import np
 from .ring import CanonicalFinite
 from .signal import COND_FLOOR, FrameError, as_window, tf_shift
 from .zak import frame_symbol

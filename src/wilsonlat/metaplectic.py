@@ -57,8 +57,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-import numpy as np
-
+from ._numpy import np
 from .ring import CanonicalFinite, CanonicalReal, LatticeError
 from .signal import as_window, centered_dft
 

@@ -8,7 +8,7 @@ corpus everywhere, which the CLI relies on for reproducible reports.
 
 from __future__ import annotations
 
-import numpy as np
+from ._numpy import np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

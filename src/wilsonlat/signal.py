@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
+from ._numpy import np
 
 DEFAULT_TOL = 1e-9
 COND_FLOOR = 1e-10

@@ -74,8 +74,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import inf, isqrt
 
-import numpy as np
-
+from ._numpy import np
 from .gabor import FrameError, tighten
 from .metaplectic import SigmaParams, apply_continuous_U, meta_finite, sigma_params
 from .ring import MAX_L, CanonicalFinite, LatticeError, ext_gcd

@@ -44,8 +44,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from .ring import CanonicalFinite
 from .signal import DEFAULT_TOL, DiscreteWindow, as_window, require_real
 

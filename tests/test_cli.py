@@ -1,8 +1,15 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wilsonlat
 from wilsonlat.cli import main
 from wilsonlat.gabor import tighten
 from wilsonlat.ring import CanonicalFinite
@@ -226,6 +233,24 @@ def test_overflowing_window_is_a_numerical_failure_exit3(tmp_path, capsys, comma
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("command, lattice", [
+    (["wilson", "verify"], "512,1,37"), (["wilson", "build"], "512,1,37"),
+    (["gabor", "tighten"], "512,1,37"), (["zak", "check"], "512,1,0")])
+def test_overflowing_window_fails_in_one_line_exit3(tmp_path, capsys, command, lattice):
+    # finite samples near the largest double: every command overflows; numpy
+    # must warn about none of it, and wilson build must write no basis
+    win = tmp_path / "huge.csv"
+    write_window_csv(win, np.full(512, 1.7e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *window_command(tmp_path, command, lattice, win))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure") and len(err.splitlines()) == 1
+    if command[-1] == "build":
+        assert not (tmp_path / "out.csv").exists()
+
+
 def test_unwritable_out_exit2(tmp_path, capsys):
     win = tmp_path / "ones.csv"
     write_window_csv(win, np.ones(8))
@@ -347,3 +372,88 @@ def test_wilson_build_refuses_large_L_exit2(tmp_path, capsys):
                             "--window", str(win), "--out", str(out))
     assert code == 2 and stdout == "" and "4096" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["wilson", "verify"], ["zak", "check"]])
+def test_verdict_boundary_is_the_reported_deviation(tmp_path, capsys, command):
+    # an untightened window: each verdict holds at --tol equal to the
+    # deviation it reports, and fails one ulp below it and at a tenth of it
+    win = tmp_path / "g.csv"
+    write_window_csv(win, SplitMix64(63).real_dft_window(16))
+    argv = [*command, "--lattice", "16,2,0", "--window", str(win)]
+
+    def verdicts(tol=None):
+        """(exit code, {verdict: (holds, deviation)}) at --tol tol, if given."""
+        code, report, _ = run(capsys, *argv, *([] if tol is None else ["--tol", repr(tol)]))
+        data = json.loads(report)
+        assert tol is None or data["tol"] == tol
+        if command[0] == "wilson":
+            return code, {"gram": (data["orthonormal"], data["gram_deviation"])}
+        return code, {k: (data[k]["holds"], data[k]["max_deviation"])
+                      for k in ("quadrature", "correlation")}
+
+    code, base = verdicts()
+    assert code == 1
+    for key, (_, dev) in base.items():
+        for tol, holds in ((dev, True), (math.nextafter(dev, 0), False), (dev / 10, False)):
+            assert verdicts(tol)[1][key] == (holds, dev)
+    worst = max(dev for _, dev in base.values())
+    assert verdicts(worst)[0] == 0
+    assert verdicts(worst / 10)[0] == 1
+
+
+CHILD = """
+import sys
+from wilsonlat.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write(f"\\n{code} {sum(m.startswith('numpy.') for m in sys.modules)}\\n")
+"""
+
+
+def run_fresh(tmp_path, *argv, env=()):
+    """main(argv) in a new interpreter: (exit code, stdout, numpy.* modules loaded)."""
+    path = os.pathsep.join(filter(None, [str(Path(wilsonlat.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path, **dict(env)},
+                          capture_output=True, text=True, timeout=60)
+    code, loaded = proc.stderr.split()[-2:]
+    return int(code), proc.stdout, int(loaded)
+
+
+SIGMA_2_20 = ('{"L": 1048576, "aligned": true, "alpha": 1, "b": 1, "beta": 524287, '
+              '"c": 524288, "d": 524288, "delta": -524286, "gamma": -1, "m0": -524287, '
+              '"n0": 524288, "p": 1, "q": 1, "s": 524288, "sign_adjusted": false, '
+              '"t": 274876858368}\n')
+
+
+@pytest.mark.parametrize("argv, env, want_code, want_out", [
+    (["sigma", "--lattice", "1048576,1,1"], (), 0, SIGMA_2_20),
+    (["canonicalize", "--domain", "finite", "--L", "24", "--matrix", "6,1,0,2"], (), 0,
+     '{"L": 24, "b": 1, "p": 2}\n'),
+    (["canonicalize", "--domain", "finite", "--L", "8", "--matrix", "1,0,0,3"], (), 3, ""),
+    (["sigma", "--lattice", "8,1"], (), 2, ""),
+    (["wilson", "verify", "--lattice", "8,1,0", "--window", "absent.csv"], (), 2, ""),
+    (["zak", "check", "--lattice", "8,1,0", "--window", "absent.csv"],
+     [("WILSON_TOL", "nan")], 2, ""),
+], ids=["sigma-2**20", "canonicalize", "canonicalize-det-3", "bad-lattice", "missing-window",
+        "bad-WILSON_TOL"])
+def test_integer_commands_and_usage_errors_never_import_numpy(tmp_path, argv, env,
+                                                               want_code, want_out):
+    code, out, loaded = run_fresh(tmp_path, *argv, env=env)
+    assert (code, out, loaded) == (want_code, want_out, 0)
+
+
+def test_help_never_imports_numpy(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the same help layout in both processes
+    want = run(capsys, "--help")[:2]
+    code, out, loaded = run_fresh(tmp_path, "--help")
+    assert (code, out, loaded) == (*want, 0)
+
+
+def test_window_command_imports_numpy(tmp_path):
+    write_window_csv(tmp_path / "ones.csv", np.ones(8))
+    code, out, loaded = run_fresh(tmp_path, "zak", "check", "--lattice", "8,1,0",
+                                  "--window", "ones.csv")
+    assert code == 0 and json.loads(out)["quadrature"]["holds"]
+    assert loaded > 0
