@@ -227,7 +227,7 @@ def cmd_selftest(args, t0: float) -> int:
     for lat in (ring.CanonicalFinite(8, 1, 3), ring.CanonicalFinite(8, 2, 1)):
         h = rng.real_dft_window(8)
         gt = gabor.tighten(metaplectic.meta_finite(h, metaplectic.sigma_params(lat)), lat)
-        ok = all(wilson.equivalence_report(gt, lat).verdicts()) and ok
+        ok = all(wilson.equivalence_report(gt, lat, tol).verdicts()) and ok
     checks["four_way_equivalence"] = ok
 
     # Zak criteria agree with tightness

@@ -21,16 +21,25 @@ y0 = p n0, beta, m0 and n0 in the box [-2L, 2L].  Preference: larger c
 gcd(p, u) | b: the aligned case), the sign conditions, small |beta|,
 |m0|, |n0|, alpha = +1, then (beta, m0, n0).
 The kernel of a candidate is proportional to a unitary unless beta != 0
-and v2(beta) = v2(L), v2 the exponent of 2 (its Gauss sums vanish;
-checked against the dense test, not proven here).  The search visits
-residue classes, never the whole box: the levels c are the divisors of
-u, largest first; c | b + beta p puts the rows of a level in one class
-of beta mod m = c/gcd(c, p), taken by |beta| up to the last |beta| whose
-|m0| >= (|v| m - c)/u can be in the box; gcd(x0, y0) = gcd(c, p n0) = c
-puts n0 in the class m (m v/c)^{-1} mod m u/c (none unless gcd(m, u/c)
-= 1).  |m0| = |c - v n0|/u is V-shaped in n0, and the sign conditions
-are constant between the zeros of n0 and x0, so only columns within one
-step of c/v, of those zeros or of the box edges can win: O(1) per row.
+and v2(beta) = v2(L), v2 the exponent of 2.  Proof: with g = gcd(beta, L),
+the l of one column (alpha k + beta l = j) form a coset l0 + m L/g, m < g,
+on which psi(k, l) = psi(k, l0) (-1)^{m^2 (beta/g)(L/g) delta (L+1)} (the
+cross terms are whole turns).  If v2(beta) = v2(L), then beta/g, L/g and
+delta (alpha delta = 1 + beta gamma, beta even) are odd and g is even, so
+every entry is a sum of g alternating signs: the kernel is 0.  Otherwise
+(beta/g)(L/g) is even, every term is 1, and the kernel's corner is g > 0.
+Its Gauss sum G (Transport) vanishes on the same set: with t = alpha
+beta, gcd(t (L+1), L) = g, and G = 0 exactly when a' = t (L+1)/g and
+n' = L/g are both odd, that is when v2(t) = v2(L), L being even.
+The search visits residue classes, never the whole box: the levels c
+are the divisors of u, largest first; c | b + beta p puts the rows of a
+level in one class of beta mod m = c/gcd(c, p), taken by |beta| up to
+the last |beta| whose |m0| >= (|v| m - c)/u can be in the box;
+gcd(x0, y0) = gcd(c, p n0) = c puts n0 in the class m (m v/c)^{-1} mod
+m u/c (none unless gcd(m, u/c) = 1).  |m0| = |c - v n0|/u is V-shaped in
+n0, and the sign conditions are constant between the zeros of n0 and
+x0, so only columns within one step of c/v, of those zeros or of the box
+edges can win: O(1) per row.
 The row (-1, -beta) holds the columns of (1, beta) with (m0, n0)
 negated, the same key but for alpha, so only alpha = +1 rows are visited.
 
@@ -41,8 +50,20 @@ Neuhauser, "Metaplectic operators on C^n", QJM 2008)
     U = c F^H diag(chi_{-alpha beta}) F P_alpha diag(chi_{alpha gamma}),
     chi_t(k) = e^{-pi i t (L+1) k^2 / L},   P_alpha f(k) = f(alpha k),
 
-F the unitary DFT and |c| = 1 read from the first kernel row: O(L log L),
-no L x L array.
+F the unitary DFT: O(L log L), no L x L array.  W e_0 = F^H chi_{-alpha beta}
+/ sqrt(L), so W's corner is conj(G)/L with G = sum_{k<L} chi_{alpha beta}(k),
+and the kernel's corner is g > 0 (above): c = G/|G|, an eighth root of
+unity, and c = 1 at beta = 0.  G is the quadratic Gauss sum
+S(a, n) = sum_{k<n} e^{pi i a k^2/n} at a = -t (L+1), n = L: S(a, n) =
+g S(a/g, n/g) when (a/g)(n/g) is even, and 0 when it is odd (blocks of
+n/g terms alternate in sign).  For coprime a, n with a n even, S(a, n)
+depends on a mod 2n, S(-a, n) = conj S(a, n), and Landsberg-Schaar
+reciprocity reads S(a, n)/sqrt(n) = e^{pi i/4} S(-n, a)/sqrt(a) for a > 0
+(Berndt, Evans, Williams, "Gauss and Jacobi Sums", Wiley 1998, ch. 1).
+So reducing a into (-n, n) and swapping (a, n) -> (-n, a) (one eighth
+turn) or (n, -a) (minus one, a < 0) keeps gcd 1 and a n even, and ends
+at n = 1, S = 1, in O(log L) integer steps: the count of eighth turns
+is the phase of G.
 
 The continuous-domain analogue U = D_{1/d} o F o N_{-b/d} o F^{-1} (for a
 canonical real lattice [[a, b], [0, d]] of volume 1/2) is discretized on
@@ -61,12 +82,14 @@ from ._numpy import np
 from .ring import CanonicalFinite, CanonicalReal, LatticeError
 from .signal import as_window, centered_dft
 
-UNITARY_TOL = 1e-9
+_EIGHTH = complex(0.5 ** 0.5, 0.5 ** 0.5)
+_EIGHTH_ROOTS = (1 + 0j, _EIGHTH, 1j, 1j * _EIGHTH, -1 + 0j, -_EIGHTH, -1j, -1j * _EIGHTH)
 
 
 class ParameterSearchError(ValueError):
     """No admissible symplectic parameters in the search box, or a bundle
-    whose kernel sum is not proportional to a unitary."""
+    whose kernel sum vanishes (beta != 0 and v2(beta) = v2(L), module
+    docstring), so is proportional to no unitary."""
 
 
 @dataclass(frozen=True)
@@ -186,19 +209,18 @@ def _shears(f: np.ndarray, sp: SigmaParams, inverse: bool) -> np.ndarray:
     return f if inner is None else np.fft.ifft(np.fft.fft(f) * inner)
 
 
-@lru_cache(maxsize=512)
 def _unit_constant(sp: SigmaParams) -> complex:
-    """c with U = c W from the first kernel row r(beta l) += chi_{beta delta}(l),
-    which must be parallel to the first row of W (else: not unitary).
-    Cached per bundle, as :func:`sigma_params` is per lattice."""
-    L = sp.L
-    w = _chirp(sp.beta * sp.delta, L)
-    cols = sp.beta * np.arange(L) % L
-    row = np.bincount(cols, w.real, L) + 1j * np.bincount(cols, w.imag, L)
-    z = complex(row @ _shears(np.eye(1, L, dtype=complex)[0], sp, inverse=True))
-    if not abs(z) > (1 - UNITARY_TOL) * np.linalg.norm(row):
+    """c with U = c W: the phase of the Gauss sum G = sum_k chi_{alpha beta}(k),
+    by Landsberg-Schaar reciprocity in integers (module docstring), read as
+    e^{pi i k/4} from a table in which 1, i, -1 and -i are exact."""
+    g = gcd(sp.beta * (sp.L + 1), sp.L)
+    a, n, eighths = -sp.alpha * sp.beta * (sp.L + 1) // g, sp.L // g, 0
+    if a * n % 2:
         raise ParameterSearchError("metaplectic kernel is not proportional to a unitary")
-    return z / abs(z)
+    while a % (2 * n):
+        a = (a + n) % (2 * n) - n  # into (-n, n): S(a, n) has period 2n in a
+        eighths, a, n = (eighths + 1, -n, a) if a > 0 else (eighths - 1, n, -a)
+    return _EIGHTH_ROOTS[eighths % 8]
 
 
 def meta_finite(f, sp: SigmaParams, inverse: bool = False) -> np.ndarray:

@@ -226,12 +226,13 @@ def gram_deviation(sys: WilsonSystem) -> float:
 # -- sequence setting ---------------------------------------------------------
 
 def chirp_discrete(f: DiscreteWindow, n0: int, c: int, N: int) -> DiscreteWindow:
-    """Pointwise chirp f(k) e^{pi i (n0/(c N)) k^2} on a sequence, with the
-    exponent reduced mod 2 c N in integers."""
+    """Pointwise chirp f(k) e^{pi i (n0/(c N)) k^2} on a sequence, with k and
+    the exponent reduced mod 2 c N in integers before the float multiply."""
     if c == 0 or N == 0:
         raise ValueError("c and N must be nonzero")
-    k = np.arange(f.start, f.stop)
-    phase = np.pi * (n0 * k * k % (2 * c * N)) / (c * N)
+    period = 2 * c * N
+    k = np.arange(f.start, f.stop) % period
+    phase = np.pi * (n0 % period * (k * k % period) % period) / (c * N)
     return DiscreteWindow(f.start, f.values * np.exp(1j * phase))
 
 
@@ -254,10 +255,11 @@ class WilsonSequenceFamily:
         self.h = chirp_discrete(g, -self.n0, self.c, N)
 
     def _atom(self, mm: int, nn: int) -> DiscreteWindow:
-        """h shifted by mm c and modulated by e^{2 pi i l nn / (2c)}."""
+        """h shifted by mm c and modulated by e^{2 pi i l nn / (2c)}, the
+        exponent reduced mod 2c in integers."""
         shift = mm * self.c
-        l = np.arange(self.h.start + shift, self.h.stop + shift)
-        vals = self.h.values * np.exp(2j * np.pi * l * nn / (2 * self.c))
+        l = np.arange(self.h.start + shift, self.h.stop + shift) % (2 * self.c)
+        vals = self.h.values * np.exp(1j * np.pi * (l * nn % (2 * self.c)) / self.c)
         return DiscreteWindow(self.h.start + shift, vals)
 
     def element(self, m: int, n: int) -> DiscreteWindow:

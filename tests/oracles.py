@@ -11,9 +11,13 @@ the search that ``sigma_params`` must reproduce from residue classes;
 maps phi of the finite Wilson gather and of the sequence lattice;
 ``correlation_sums_discrete`` is the sequence correlation fold without
 the conjugate, and ``gram_discrete`` / ``periodized_gram`` are the
-counting-measure Grams of sequence families.  ``trig_resample`` evaluates
-the centered trigonometric interpolant through the L x L kernel that the
-chirp-z ``metaplectic._dilate`` replaces.
+counting-measure Grams of sequence families.  ``canonical_lattices``
+enumerates the canonical (or only the sheared) lattices of given lengths
+in one fixed order, and ``numeric_unit_constant`` is the kernel-row probe of
+the transport constant that the Gauss-sum phase replaced.
+``trig_resample`` evaluates the centered trigonometric interpolant
+through the L x L kernel that the chirp-z ``metaplectic._dilate``
+replaces.
 
 ``metaplectic_matrix`` materializes the factored ``meta_finite`` operator
 column by column, ``gram`` is the dense Wilson Gram, ``symmetrize`` the
@@ -71,7 +75,7 @@ from math import gcd
 import numpy as np
 
 from wilsonlat.gabor import tightness_deviation
-from wilsonlat.metaplectic import (UNITARY_TOL, ParameterSearchError, SigmaParams, _admissible,
+from wilsonlat.metaplectic import (ParameterSearchError, SigmaParams, _admissible, _chirp,
                                    _shears, _unit_constant)
 from wilsonlat.ring import CanonicalFinite, CanonicalReal, LatticeError, ext_gcd
 from wilsonlat.signal import COND_FLOOR, DEFAULT_TOL, DiscreteWindow, as_window, centered_dft
@@ -79,6 +83,7 @@ from wilsonlat.wilson import WilsonSystem
 from wilsonlat.zak import frame_symbol
 
 HERMITIAN_TOL = 1e-12
+UNITARY_TOL = 1e-9
 # complex entries per temporary of the Gram scan (module docstring)
 SCAN_BLOCK = 1 << 14
 
@@ -93,6 +98,20 @@ def dense_metaplectic(sp: SigmaParams) -> np.ndarray:
     if scale2 <= 1e-12 or np.max(np.abs(G - scale2 * np.eye(L))) > UNITARY_TOL * scale2:
         raise ParameterSearchError("metaplectic kernel is not proportional to a unitary")
     return raw / np.sqrt(scale2)
+
+
+def numeric_unit_constant(sp: SigmaParams) -> complex:
+    """c with U = c W from the first kernel row r(beta l) += chi_{beta delta}(l),
+    which must be parallel to the first row of W (else: not unitary); the
+    numeric probe that the Gauss-sum phase ``_unit_constant`` replaces."""
+    L = sp.L
+    w = _chirp(sp.beta * sp.delta, L)
+    cols = sp.beta * np.arange(L) % L
+    row = np.bincount(cols, w.real, L) + 1j * np.bincount(cols, w.imag, L)
+    z = complex(row @ _shears(np.eye(1, L, dtype=complex)[0], sp, inverse=True))
+    if not abs(z) > (1 - UNITARY_TOL) * np.linalg.norm(row):
+        raise ParameterSearchError("metaplectic kernel is not proportional to a unitary")
+    return z / abs(z)
 
 
 def metaplectic_matrix(sp: SigmaParams) -> np.ndarray:
@@ -111,6 +130,14 @@ def _raw_metaplectic(sp: SigmaParams) -> np.ndarray:
     exps = ((al * ga * ks * ks + be * de * l * l) * (L + 1) + 2 * be * ga * ks * l) % (2 * L)
     np.add.at(U, (np.broadcast_to(ks, cols.shape), cols), np.exp(-1j * np.pi * exps / L))
     return U
+
+
+def canonical_lattices(Ls, sheared: bool = False) -> list[CanonicalFinite]:
+    """Every canonical lattice (L, p, b) with L in Ls, in (L, p, b) order;
+    with ``sheared`` only b >= 1."""
+    return [CanonicalFinite(L, p, b) for L in Ls
+            for p in range(1, L // 2 + 1) if (L // 2) % p == 0
+            for b in range(int(sheared), L // (2 * p))]
 
 
 def candidates(lat: CanonicalFinite, box: int):

@@ -10,8 +10,8 @@ from math import gcd
 import numpy as np
 import pytest
 
-from oracles import (gram, gram_discrete, intertwining_phase, is_tight, map_point,
-                     metaplectic_matrix, periodized_gram, phi_inverse, phi_map,
+from oracles import (canonical_lattices, gram, gram_discrete, intertwining_phase, is_tight,
+                     map_point, metaplectic_matrix, periodized_gram, phi_inverse, phi_map,
                      phi_params_discrete, phi_params_finite, wilson_element)
 from wilsonlat.gabor import gabor_system, tighten, tightness_deviation
 from wilsonlat.metaplectic import sigma_params
@@ -28,16 +28,10 @@ def divisors_of_half(L):
     return [d for d in range(1, L // 2 + 1) if (L // 2) % d == 0]
 
 
-def all_lattices(Ls):
-    return [CanonicalFinite(L, p, b)
-            for L in Ls for p in divisors_of_half(L)
-            for b in range(L // (2 * p))]
-
-
 def aligned_lattices(Ls):
     """Lattices whose symplectic image is the rectangle with the same p
     (gcd(p, L/2p) | b); on these the four-way equivalence is sharp."""
-    return [lat for lat in all_lattices(Ls)
+    return [lat for lat in canonical_lattices(Ls)
             if lat.b % gcd(lat.p, lat.time_step) == 0]
 
 
@@ -134,7 +128,7 @@ def test_criterion_4_metaplectic_intertwining():
     all lattice points, every valid (p, b), 20 random windows each."""
     rng = SplitMix64(1004)
     worst = 0.0
-    lattices = all_lattices((8, 12, 16, 24))
+    lattices = canonical_lattices((8, 12, 16, 24))
     for lat in lattices:
         L, p, b = lat.L, lat.p, lat.b
         sp = sigma_params(lat)
@@ -192,7 +186,7 @@ def test_criterion_6_phi_map_combinatorics():
     exact window-image counting property, finite and sequence variants."""
     # finite variant
     finite_tested = 0
-    for lat in all_lattices((8, 12, 16, 24)):
+    for lat in canonical_lattices((8, 12, 16, 24)):
         if lat.b == 0:
             continue
         sp = sigma_params(lat)

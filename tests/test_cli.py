@@ -142,6 +142,22 @@ def test_selftest_deterministic(capsys):
     assert out3 != out1
 
 
+def test_selftest_boundary_is_the_reported_deviation(capsys):
+    # rectangular_wilson_onb holds at --tol equal to the deviation it prints
+    # and fails one ulp below it and at a tenth of it, with exit code 1; the
+    # four-way check reads the same --tol
+    code, out, _ = run(capsys, "selftest", "--seed", "0")
+    checks = json.loads(out)["checks"]
+    dev = checks["rectangular_wilson_onb_dev"]
+    assert code == 0 and checks["four_way_equivalence"] is True and dev > 0
+    for tol, holds in ((dev, True), (math.nextafter(dev, 0), False), (dev / 10, False)):
+        code, out, _ = run(capsys, "selftest", "--seed", "0", "--tol", repr(tol))
+        assert json.loads(out)["checks"]["rectangular_wilson_onb"] is holds
+        assert holds or code == 1
+    code, out, _ = run(capsys, "selftest", "--seed", "0", "--tol", "1e-300")
+    assert code == 1 and json.loads(out)["checks"]["four_way_equivalence"] is False
+
+
 def test_selftest_checks_sequence_wilson_basis(capsys):
     for seed in ("0", "1", "17"):
         code, out, _ = run(capsys, "selftest", "--seed", seed)

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wilsonlat
-from oracles import (box_search, candidates, continuous_factor, dense_metaplectic,
-                     intertwining_phase, map_point, metaplectic_matrix, norm2,
-                     phi_params_finite, trig_resample)
+from oracles import (box_search, candidates, canonical_lattices, continuous_factor,
+                     dense_metaplectic, intertwining_phase, map_point, metaplectic_matrix,
+                     norm2, numeric_unit_constant, phi_params_finite, trig_resample)
 from wilsonlat import cli, metaplectic, wilson
 from wilsonlat.gabor import tighten
 from wilsonlat.metaplectic import (ParameterSearchError, SigmaParams, apply_continuous_U,
@@ -26,17 +26,8 @@ from wilsonlat.wilson import HEX_D, chirp_discrete
 
 F = Fraction
 
-ALL_LATTICES = [(L, p, b)
-                for L in (8, 12, 16, 24)
-                for p in range(1, L // 2 + 1) if (L // 2) % p == 0
-                for b in range(L // (2 * p))]
-
-
-def all_lattices():
-    for L in (8, 12, 16, 24):
-        for p in [d for d in range(1, L // 2 + 1) if (L // 2) % d == 0]:
-            for b in range(L // (2 * p)):
-                yield CanonicalFinite(L, p, b)
+SMALL = (8, 12, 16, 24)
+UP_TO_48 = range(2, 49, 2)
 
 
 class TestSigmaParams:
@@ -55,13 +46,13 @@ class TestSigmaParams:
         assert sp.aligned and not sp.sign_adjusted
 
     def test_symplectic_everywhere(self):
-        for lat in all_lattices():
+        for lat in canonical_lattices(SMALL):
             sp = sigma_params(lat)
             assert sp.alpha * sp.delta - sp.beta * sp.gamma == 1
             assert abs(sp.alpha) == 1
 
     def test_bezout_and_lcm_relations(self):
-        for lat in all_lattices():
+        for lat in canonical_lattices(SMALL):
             if lat.b == 0:
                 continue
             sp = sigma_params(lat)
@@ -75,7 +66,7 @@ class TestSigmaParams:
             assert sp.gcd_c * sp.lcm_d == sp.alpha * u * v
 
     def test_unitary_everywhere(self):
-        for lat in all_lattices():
+        for lat in canonical_lattices(SMALL):
             U = metaplectic_matrix(sigma_params(lat))
             assert np.max(np.abs(U @ U.conj().T - np.eye(lat.L))) < 1e-9
 
@@ -95,7 +86,7 @@ class TestSigmaParams:
     def test_derived_bezout_relations_on_candidates(self):
         # the first 40 candidates of every sheared L <= 48, alpha = -1 included
         signs = set()
-        for lat in sheared_lattices(48):
+        for lat in canonical_lattices(UP_TO_48, sheared=True):
             for sp in islice(candidates(lat, 2 * lat.L), 40):
                 assert_bezout(sp)
                 signs.add(sp.alpha)
@@ -173,7 +164,7 @@ class TestIntertwining:
     def test_sigma_maps_lattice_to_rectangle(self):
         # sigma(point of phi(m, n)) = (m c, n L/(2c)) mod L, exact integers
         from oracles import phi_map
-        for lat in all_lattices():
+        for lat in canonical_lattices(SMALL):
             if lat.b == 0:
                 continue
             sp = sigma_params(lat)
@@ -190,7 +181,7 @@ class TestIntertwining:
     def test_phase_independent_of_sign(self):
         # C at the points of phi(m, n) and phi(m, -n) agree exactly
         from oracles import phi_map
-        for lat in all_lattices():
+        for lat in canonical_lattices(SMALL):
             if lat.b == 0:
                 continue
             sp = sigma_params(lat)
@@ -395,12 +386,6 @@ def pinned_rows():
         return list(csv.DictReader(line for line in fh if not line.startswith("#")))
 
 
-def sheared_lattices(max_L):
-    return [CanonicalFinite(L, p, b) for L in range(2, max_L + 1, 2)
-            for p in range(1, L // 2 + 1) if (L // 2) % p == 0
-            for b in range(1, L // (2 * p))]
-
-
 def boxed(lat, box):
     """The search in the box [-box, box]; the identity bundle at b = 0, as
     ``sigma_params``."""
@@ -436,7 +421,7 @@ class TestClosedFormSearch:
     def test_reproduces_pinned_choices(self):
         rows = pinned_rows()
         assert len(rows) == 407 + 33
-        assert len(sheared_lattices(48)) == 407
+        assert len(canonical_lattices(UP_TO_48, sheared=True)) == 407
         for row in rows:
             lat = CanonicalFinite(int(row["L"]), int(row["p"]), int(row["b"]))
             got = sigma_params(lat).to_json()
@@ -445,7 +430,7 @@ class TestClosedFormSearch:
     def test_rule_matches_dense_test(self):
         # the first 40 candidates of the literal box search, every sheared L <= 48
         checked = rejected = 0
-        for lat in sheared_lattices(48):
+        for lat in canonical_lattices(UP_TO_48, sheared=True):
             for sp in islice(candidates(lat, 2 * lat.L), 40):
                 ok = dense_admissible(sp)
                 assert bool(metaplectic._admissible(sp.beta, sp.L)) == ok, sp
@@ -479,7 +464,8 @@ class TestClosedFormSearch:
     def test_box_zero_and_small_boxes(self):
         # the box bounds beta, m0 and n0 exactly as in the literal search
         outcomes = set()
-        for lat in sheared_lattices(16) + [CanonicalFinite(24, 2, 5), CanonicalFinite(30, 1, 4)]:
+        extra = [CanonicalFinite(24, 2, 5), CanonicalFinite(30, 1, 4)]
+        for lat in canonical_lattices(range(2, 17, 2), sheared=True) + extra:
             for box in range(-1, 6):
                 want = next((sp for sp in candidates(lat, box) if dense_admissible(sp)), None)
                 if want is None:
@@ -497,7 +483,7 @@ class TestResidueClassSearch:
     what the walk over the whole (4L+1)-wide beta box picks."""
 
     def test_matches_box_search_on_small_lattices(self):
-        for lat in sheared_lattices(48):
+        for lat in canonical_lattices(UP_TO_48, sheared=True):
             for box in range(-1, 8):
                 want = searched(box_search, lat, box)
                 assert searched(metaplectic._search, lat, box) == want, (lat, box)
@@ -569,24 +555,55 @@ def test_transport_is_small_and_fast():
     assert wall < 1.0
 
 
-def test_unit_constant_cache_is_bounded():
-    """meta_finite reads c from a per-bundle cache that never outgrows its size."""
-    cache = metaplectic._unit_constant
-    maxsize = cache.cache_info().maxsize
-    assert maxsize is not None
-    lat = CanonicalFinite(4096, 1, 37)
-    f = SplitMix64(48).complex_vector(lat.L)
-    meta_finite(f, sigma_params(lat))
-    hits = cache.cache_info().hits
-    meta_finite(f, sigma_params(lat), inverse=True)
-    assert cache.cache_info().hits == hits + 1
-    bundles = 0
-    for small in sheared_lattices(24):
-        for sp in candidates(small, 2 * small.L):
-            if metaplectic._admissible(sp.beta, sp.L):
-                meta_finite(np.ones(sp.L), sp)
-                bundles += 1
-        if bundles > maxsize:
-            break
-    assert bundles > maxsize
-    assert cache.cache_info().currsize <= maxsize
+class TestUnitConstant:
+    """The Gauss-sum phase c of U = c W against the numeric kernel-row probe."""
+
+    def test_matches_numeric_probe_on_candidates(self):
+        # the first 40 candidates of every sheared L <= 48 and the b = 0 bundles
+        admissible = 0
+        for lat in canonical_lattices(UP_TO_48, sheared=True):
+            for sp in islice(candidates(lat, 2 * lat.L), 40):
+                if metaplectic._admissible(sp.beta, sp.L):
+                    got = metaplectic._unit_constant(sp)
+                    assert abs(got - numeric_unit_constant(sp)) <= 1e-14, sp
+                    admissible += 1
+                else:
+                    with pytest.raises(ParameterSearchError, match="not proportional"):
+                        meta_finite(np.ones(sp.L), sp)
+        assert admissible == 14252
+        for lat in canonical_lattices(UP_TO_48):
+            if lat.b == 0:
+                assert metaplectic._unit_constant(sigma_params(lat)) == 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_numeric_probe_generated(self, data):
+        half = data.draw(st.integers(2, 128), label="L/2")
+        p = data.draw(st.sampled_from([d for d in range(1, half) if half % d == 0]), label="p")
+        lat = CanonicalFinite(2 * half, p, data.draw(st.integers(1, half // p - 1), label="b"))
+        cands = list(islice(candidates(lat, 2 * lat.L), 40))
+        sp = cands[data.draw(st.integers(0, len(cands) - 1), label="candidate")]
+        if not metaplectic._admissible(sp.beta, sp.L):
+            for constant in (metaplectic._unit_constant, numeric_unit_constant):
+                with pytest.raises(ParameterSearchError):
+                    constant(sp)
+            return
+        got = metaplectic._unit_constant(sp)
+        assert abs(got - numeric_unit_constant(sp)) <= 1e-14
+        G = complex(metaplectic._chirp(sp.alpha * sp.beta, sp.L).sum())
+        assert abs(got - G / abs(G)) <= 1e-12
+
+    def test_matches_numeric_probe_at_65536(self):
+        sp = sigma_params(CanonicalFinite(65536, 1, 37))
+        assert abs(metaplectic._unit_constant(sp) - numeric_unit_constant(sp)) <= 1e-14
+
+    def test_cold_constant_allocates_no_array(self):
+        """The constant at 2^20 is integer arithmetic: no L-sized kernel row."""
+        sp = sigma_params(CanonicalFinite(2 ** 20, 1, 1))
+        tracemalloc.start()
+        try:
+            metaplectic._unit_constant(sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024

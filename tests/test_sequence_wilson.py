@@ -55,11 +55,13 @@ def gram_deviation_discrete(fam, m_range):
 
 def rectangular_element_literal(g, N, m, n):
     """The b = 0 element as it was built through the identity index map:
-    atoms shifted by m N/2 and modulated by e^{2 pi i l n / N}."""
+    atoms shifted by m N/2 and modulated by e^{2 pi i l n / N}, the
+    exponent reduced mod N in integers."""
     def atom(mm, nn):
         shift = mm * (N // 2)
         l = np.arange(g.start + shift, g.stop + shift)
-        return DiscreteWindow(g.start + shift, g.values * np.exp(2j * np.pi * l * nn / N))
+        return DiscreteWindow(g.start + shift,
+                              g.values * np.exp(1j * np.pi * (l * nn % N) / (N // 2)))
 
     m1, c1, c2 = wilson_pair(m, n, N // 2)
     atoms = [(c, atom(mm, nn)) for c, mm, nn in ((c1, m1, n), (c2, m, -n)) if c != 0]
@@ -165,3 +167,19 @@ def test_random_painless_window_generated(data):
     g = chirped_painless(N, b, random_theta(c, SplitMix64(seed)))
     fam = WilsonSequenceFamily(g, N, b)
     assert gram_deviation_discrete(fam, range(-3, 4)) <= 1e-12, (N, b)
+
+
+def test_far_elements_are_exact_translates():
+    # element(m + 2 N K, n) is element(m, n) moved by 2 N K c (twice that on
+    # the boundary rows, whose atom sits at 2m + n mod 2), to the bit: both
+    # phases are reduced in integers, so far indices lose no digits
+    rng = SplitMix64(74)
+    K = 10 ** 9
+    for N, b in ((8, 0), (8, 1), (12, 4)):
+        fam = WilsonSequenceFamily(DiscreteWindow(-3, rng.complex_vector(7)), N, b)
+        for n in range(fam.c + 1):
+            shift = 2 * N * K * fam.c * (2 if n in (0, fam.c) else 1)
+            for m in range(-3, 4):
+                near, far = fam.element(m, n), fam.element(m + 2 * N * K, n)
+                assert far.start == near.start + shift
+                assert np.array_equal(far.values, near.values), (N, b, m, n)

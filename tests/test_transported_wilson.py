@@ -14,7 +14,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gram, metaplectic_matrix, phi_map, phi_params_finite, scan_gram_deviation
+from oracles import (canonical_lattices, gram, metaplectic_matrix, phi_map, phi_params_finite,
+                     scan_gram_deviation)
 from wilsonlat.gabor import tighten
 from wilsonlat.metaplectic import meta_finite, sigma_params
 from wilsonlat.ring import CanonicalFinite
@@ -26,13 +27,6 @@ from wilsonlat.wilson import (equivalence_report, gram_deviation,
 
 def divisors_of_half(L):
     return [d for d in range(1, L // 2 + 1) if (L // 2) % d == 0]
-
-
-def canonical_lattices(max_L):
-    for L in range(2, max_L + 1, 2):
-        for p in divisors_of_half(L):
-            for b in range(L // (2 * p)):
-                yield CanonicalFinite(L, p, b)
 
 
 def aligned(lat):
@@ -84,7 +78,7 @@ def check_deviations(sys):
 
 def test_every_small_lattice_gives_an_orthonormal_basis():
     rng = SplitMix64(90)
-    lattices = list(canonical_lattices(48))
+    lattices = canonical_lattices(range(2, 49, 2))
     assert len(lattices) == 491
     non_aligned = 0
     for lat in lattices:

@@ -3,6 +3,7 @@ symbol, the Wilson Gram deviation from the Riesz blocks of the same symbol,
 and a basis gathered only when it is read, each against its dense oracle."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wilsonlat
-from oracles import ambiguity_table, gram, scan_gram_deviation
+from oracles import ambiguity_table, canonical_lattices, gram, scan_gram_deviation
 from wilsonlat import cli, gabor, metaplectic, wilson, zak
 from wilsonlat.gabor import (frame_bounds, frame_operator, gabor_system, tighten,
                              tightness_deviation)
@@ -23,13 +24,6 @@ from wilsonlat.wilson import (equivalence_report, gram_deviation, riesz_bounds,
                               riesz_spectrum, wilson_finite)
 
 TOL = 1e-9
-
-
-def canonical_lattices(max_L):
-    for L in range(2, max_L + 1, 2):
-        for p in [d for d in range(1, L // 2 + 1) if (L // 2) % d == 0]:
-            for b in range(L // (2 * p)):
-                yield CanonicalFinite(L, p, b)
 
 
 def dense_gram_deviation(g, lat):
@@ -53,7 +47,7 @@ def check_against_dense(g, lat):
 
 def test_fast_verdicts_match_dense_on_all_small_lattices():
     rng = SplitMix64(80)
-    lattices = list(canonical_lattices(48))
+    lattices = canonical_lattices(range(2, 49, 2))
     assert len(lattices) == 491
     seen = set()
     for lat in lattices:
@@ -92,7 +86,7 @@ def check_riesz_blocks(g, lat):
 
 def test_riesz_blocks_are_the_gram_spectrum():
     rng = SplitMix64(87)
-    lattices = list(canonical_lattices(48))
+    lattices = canonical_lattices(range(2, 49, 2))
     assert len(lattices) == 491
     for lat in lattices:
         g = rng.complex_vector(lat.L)
@@ -122,7 +116,7 @@ def check_half_frame_bounds(g, lat, sp=None):
 
 def test_riesz_bounds_are_half_the_frame_bounds():
     rng = SplitMix64(88)
-    for lat in canonical_lattices(48):
+    for lat in canonical_lattices(range(2, 49, 2)):
         h = meta_finite(rng.real_dft_window(lat.L), sigma_params(lat))
         check_half_frame_bounds(h, lat)
         check_half_frame_bounds(tighten(h, lat), lat)
@@ -172,7 +166,7 @@ def test_one_frame_symbol_per_window(monkeypatch):
 
 def test_ambiguity_table_is_the_lattice_of_inner_products():
     rng = SplitMix64(81)
-    lattices = list(canonical_lattices(48))
+    lattices = canonical_lattices(range(2, 49, 2))
     assert len(lattices) == 491
     for lat in lattices:
         g = rng.complex_vector(lat.L)
@@ -205,6 +199,19 @@ def test_foreign_symplectic_parameters_rejected():
     g = tighten(meta_finite(SplitMix64(83).real_dft_window(16), sigma_params(lat)), lat)
     assert gram_deviation(wilson_finite(g, lat, sigma_params(lat))) <= TOL
     assert all(equivalence_report(g, lat, sp=sigma_params(lat)).verdicts())
+
+
+def test_equivalence_verdict_boundary_is_the_reported_deviation():
+    # an untightened window: each of the four verdicts holds at tol equal to
+    # its own deviation, and fails one ulp below it and at a tenth of it
+    lat = CanonicalFinite(16, 1, 3)
+    g = meta_finite(SplitMix64(85).real_dft_window(16), sigma_params(lat))
+    for i, dev in enumerate(equivalence_report(g, lat).deviations.values()):
+        assert dev > 0
+        for tol, holds in ((dev, True), (math.nextafter(dev, 0), False), (dev / 10, False)):
+            report = equivalence_report(g, lat, tol)
+            assert list(report.deviations.values())[i] == dev
+            assert report.verdicts()[i] == holds, (i, tol)
 
 
 def test_basis_is_gathered_on_first_read():
